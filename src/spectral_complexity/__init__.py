@@ -18,10 +18,9 @@ from .ingest import (HyperParams, LabeledDataset, ReductionSpec,
                      class_partition, load_csv, load_binary, load_dataset)
 from .reduce import (EmbeddedDataset, PCAModel, ReductionMeta,
                      apply_reduction, fit_pca)
-from .report import (ComplexityReport, benchmark_svg, build_benchmark_report,
-                     build_report, emit_benchmark_svg, emit_mds_svg,
-                     emit_report, emit_spectrum_svg, matrix_from_report,
-                     mds_svg, parse_report, serialize)
+from .report import (benchmark_svg, build_benchmark_report, build_report,
+                     emit_report, matrix_from_report, mds_svg, parse_report,
+                     serialize)
 from .similarity import (ClassSimilarityMatrix, SimilarityDiagnostics,
                          SymmetricAffinity, bray_curtis_symmetrize,
                          build_similarity_matrix, class_pair_expectation,
@@ -33,18 +32,17 @@ from .spectral import (ComplexityScores, Laplacian, Spectrum, auls,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkResult", "ClassSimilarityMatrix", "ComplexityReport",
-    "ComplexityScores", "CorrelationResult", "DataError", "DescriptorReport",
-    "EmbeddedDataset", "HyperParams", "InterClassMap", "LabeledDataset",
-    "Laplacian", "NumericError", "PCAModel", "ReductionMeta", "ReductionSpec",
+    "BenchmarkResult", "ClassSimilarityMatrix", "ComplexityScores",
+    "CorrelationResult", "DataError", "DescriptorReport", "EmbeddedDataset",
+    "HyperParams", "InterClassMap", "LabeledDataset", "Laplacian",
+    "NumericError", "PCAModel", "ReductionMeta", "ReductionSpec",
     "SimilarityDiagnostics", "Spectrum", "SpectralComplexityError",
     "SymmetricAffinity", "SyntheticSuite", "apply_reduction", "auls",
     "bayes_error_oracle", "benchmark_svg", "bray_curtis_symmetrize",
     "build_benchmark_report", "build_laplacian", "build_report",
     "build_similarity_matrix", "class_pair_expectation", "class_partition",
     "classical_mds", "cmsauls", "compute_descriptors", "compute_scores",
-    "csg", "emit_benchmark_svg", "emit_mds_svg", "emit_report",
-    "emit_spectrum_svg", "f1", "f2", "f3", "fit_pca", "gen_gaussian_suite",
+    "csg", "emit_report", "f1", "f2", "f3", "fit_pca", "gen_gaussian_suite",
     "knn_density", "load_binary", "load_csv", "load_dataset",
     "matrix_from_report", "mds_svg", "n1", "n2", "n3", "pair_rng",
     "parse_report", "pearson", "rank_correlation", "run_benchmark",

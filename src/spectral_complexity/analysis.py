@@ -9,7 +9,7 @@ the error an ideal classifier would attain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -20,9 +20,9 @@ from scipy.stats import rankdata
 from .errors import DataError, NumericError
 from .ingest import HyperParams, LabeledDataset
 from .reduce import apply_reduction
-from .descriptors import compute_descriptors
+from .descriptors import DESCRIPTORS, compute_descriptors
 from .similarity import build_similarity_matrix, bray_curtis_symmetrize
-from .spectral import build_laplacian, compute_scores, spectrum
+from .spectral import METRICS, build_laplacian, compute_scores, spectrum
 
 
 @dataclass(frozen=True)
@@ -292,22 +292,17 @@ def run_benchmark(suite: SyntheticSuite, params: HyperParams,
     Metrics with any non-finite value (f1 can be +inf) are excluded
     from correlation and listed in skipped_metrics.
     """
-    columns: dict[str, list[float]] = {"cmsauls": [], "csg": [], "auls": []}
-    if include_descriptors:
-        for name in ("f1", "f2", "f3", "n1", "n2", "n3", "t2"):
-            columns[name] = []
+    names = METRICS + (DESCRIPTORS if include_descriptors else ())
+    columns: dict[str, list[float]] = {name: [] for name in names}
     for ds in suite.datasets:
         emb = apply_reduction(ds, params)
         X = build_similarity_matrix(emb, params, threads=threads)
         W = bray_curtis_symmetrize(X)
-        scores = compute_scores(spectrum(build_laplacian(W)))
-        columns["cmsauls"].append(scores.cmsauls)
-        columns["csg"].append(scores.csg)
-        columns["auls"].append(scores.auls)
+        values = asdict(compute_scores(spectrum(build_laplacian(W))))
         if include_descriptors:
-            desc = compute_descriptors(emb)
-            for name in ("f1", "f2", "f3", "n1", "n2", "n3", "t2"):
-                columns[name].append(getattr(desc, name))
+            values.update(asdict(compute_descriptors(emb)))
+        for name, column in columns.items():
+            column.append(values[name])
     correlations: dict[str, CorrelationResult] = {}
     skipped: list[str] = []
     for name, values in columns.items():

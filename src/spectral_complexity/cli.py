@@ -5,7 +5,8 @@ Four subcommands: `complexity` scores a dataset file end to end,
 oracle, `mds` draws the 2-D inter-class map from a stored report, and
 `descriptors` computes the classical baselines only.
 
-Exit codes: 0 success, 2 input error, 3 numeric failure.
+Exit codes: 0 success, 2 input error, 3 numeric failure or out of
+memory.
 """
 
 from __future__ import annotations
@@ -13,21 +14,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from datetime import datetime, timezone
+from dataclasses import asdict
 
 from . import analysis
-from .descriptors import compute_descriptors
-from .errors import DataError, SpectralComplexityError
+from .descriptors import DESCRIPTORS, compute_descriptors
+from .errors import DataError, NumericError, SpectralComplexityError
 from .ingest import HyperParams, ReductionSpec, load_dataset
 from .reduce import apply_reduction
-from .report import (SCHEMA_VERSION, TOOL_VERSION, build_benchmark_report,
-                     build_report, emit_benchmark_svg, emit_mds_svg,
-                     emit_report, emit_spectrum_svg, matrix_from_report,
-                     parse_report)
+from .report import (benchmark_svg, build_benchmark_report, build_report,
+                     emit_report, header, matrix_from_report, mds_svg,
+                     parse_report, write_text)
 from .similarity import bray_curtis_symmetrize, build_similarity_matrix
-from .spectral import build_laplacian, compute_scores, spectrum
-
-_METRICS = ("cmsauls", "csg", "auls")
+from .spectral import (METRICS, build_laplacian, compute_scores, spectrum,
+                       spectrum_svg)
 
 
 def _default_threads() -> int:
@@ -56,9 +55,9 @@ def _parse_metrics(text: str) -> tuple[str, ...]:
     if not names:
         raise DataError("no metrics selected")
     for name in names:
-        if name not in _METRICS:
+        if name not in METRICS:
             raise DataError(
-                f"unknown metric {name!r}; choose from {', '.join(_METRICS)}"
+                f"unknown metric {name!r}; choose from {', '.join(METRICS)}"
             )
     return names
 
@@ -71,10 +70,6 @@ def _parse_separations(text: str) -> tuple[float, ...]:
     if not values:
         raise DataError("empty separation list")
     return values
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
@@ -117,10 +112,10 @@ def run_complexity(args) -> int:
     if args.out:
         emit_report(report, args.out)
     if args.spectrum_svg:
-        emit_spectrum_svg(spec, args.spectrum_svg)
+        write_text(spectrum_svg(spec), args.spectrum_svg)
     print(f"seed={params.seed}")
     for name in metrics:
-        print(f"{name}={report.scores[name]:.17g}")
+        print(f"{name}={report['scores'][name]:.17g}")
     return 0
 
 
@@ -140,7 +135,7 @@ def run_benchmark(args) -> int:
     if args.out:
         emit_report(payload, args.out)
     if args.svg:
-        emit_benchmark_svg(result, args.svg, metric=args.svg_metric)
+        write_text(benchmark_svg(result, args.svg_metric), args.svg)
     print(f"seed={params.seed}")
     for name, corr in result.correlations.items():
         print(f"{name}: r={corr.r:.6f} p={corr.p_value:.6f} "
@@ -160,12 +155,10 @@ def run_mds(args) -> int:
     if len(labels) != W.shape[0]:
         labels = [str(i) for i in range(W.shape[0])]
     if args.svg:
-        emit_mds_svg(chart, labels, args.svg)
+        write_text(mds_svg(chart, labels), args.svg)
     if args.out:
         emit_report({
-            "schema": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
-            "created": _now(),
+            **header(),
             "source_report": args.from_report,
             "labels": labels,
             "coordinates": [[float(x), float(y)]
@@ -180,17 +173,10 @@ def run_descriptors(args) -> int:
     params = HyperParams(reduction=ReductionSpec.parse(args.reduce))
     ds = load_dataset(args.input, label_column=args.label_col)
     emb = apply_reduction(ds, params)
-    desc = compute_descriptors(emb)
-    values = {
-        "f1": desc.f1, "f2": desc.f2, "f3": desc.f3, "n1": desc.n1,
-        "n2": desc.n2, "n3": desc.n3, "t2": desc.t2,
-        "n2_skipped": desc.n2_skipped,
-    }
+    values = asdict(compute_descriptors(emb))
     if args.out:
         emit_report({
-            "schema": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
-            "created": _now(),
+            **header(),
             "dataset": {
                 "path": args.input,
                 "samples": ds.n_samples,
@@ -200,7 +186,7 @@ def run_descriptors(args) -> int:
             },
             "descriptors": values,
         }, args.out)
-    for name in ("f1", "f2", "f3", "n1", "n2", "n3", "t2"):
+    for name in DESCRIPTORS:
         print(f"{name}={values[name]:.17g}")
     return 0
 
@@ -224,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduce", default="passthrough",
                    help="passthrough | pca:<d> | pca:rate=<r>")
     _add_sampling_flags(p)
-    p.add_argument("--metric", default="cmsauls,csg,auls",
+    p.add_argument("--metric", default=",".join(METRICS),
                    help="comma list of scores to emit")
     p.add_argument("--no-row-normalize", action="store_true",
                    help="skip row normalization of the similarity matrix")
@@ -283,6 +269,9 @@ def main(argv=None) -> int:
     except SpectralComplexityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return NumericError.exit_code
 
 
 if __name__ == "__main__":

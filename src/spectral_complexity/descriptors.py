@@ -9,13 +9,14 @@ here is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import DataError
+from .ingest import class_partition
 from .reduce import EmbeddedDataset
 
 
@@ -47,8 +48,12 @@ class DescriptorReport:
             raise DataError(f"t2 must be > 0, got {self.t2}")
 
 
+DESCRIPTORS = tuple(f.name for f in fields(DescriptorReport)
+                    if f.name != "n2_skipped")
+
+
 def _class_blocks(emb: EmbeddedDataset) -> list[np.ndarray]:
-    return [emb.features[emb.labels == c] for c in range(emb.n_classes)]
+    return [emb.features[idx] for idx in class_partition(emb)]
 
 
 def f1(emb: EmbeddedDataset) -> float:

@@ -11,7 +11,7 @@ suite relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from xml.sax.saxutils import escape
 
@@ -23,50 +23,19 @@ from .errors import DataError, NumericError
 from .ingest import HyperParams, LabeledDataset
 from .reduce import EmbeddedDataset
 from .similarity import ClassSimilarityMatrix, SymmetricAffinity
-from .spectral import ComplexityScores, Laplacian, Spectrum, spectrum_svg
+from .spectral import (DEFINITIONS, METRICS, ComplexityScores, Laplacian,
+                       Spectrum)
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
-# Emitted under diagnostics so every score can be recomputed from the
-# stored spectrum without consulting the source code.
-DEFINITIONS = {
-    "cmsauls": "sum of cummax of (lam[i+1]^2 - lam[i]^2) / (2 (n - i))",
-    "csg": "sum of cummax of (lam[i+1] - lam[i]) / (n - i)",
-    "auls": "sum of (lam[i] + lam[i+1]) / 2",
-}
 
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Everything one run produced, ready for serialization."""
-
-    dataset_meta: dict
-    params: dict
-    reduction: dict
-    matrices: dict
-    spectrum: tuple[float, ...]
-    scores: dict
-    descriptors: dict | None
-    diagnostics: dict
-    tool_version: str = TOOL_VERSION
-    created: str = ""
-    schema: int = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "tool_version": self.tool_version,
-            "created": self.created,
-            "dataset": self.dataset_meta,
-            "params": self.params,
-            "reduction": self.reduction,
-            "matrices": self.matrices,
-            "spectrum": list(self.spectrum),
-            "scores": self.scores,
-            "descriptors": self.descriptors,
-            "diagnostics": self.diagnostics,
-        }
+def header(created: str | None = None) -> dict:
+    """The keys every payload starts with; created defaults to now (UTC)."""
+    if created is None:
+        created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return {"schema": SCHEMA_VERSION, "tool_version": TOOL_VERSION,
+            "created": created}
 
 
 def _format_float(v: float) -> str:
@@ -125,15 +94,17 @@ def serialize(payload: dict) -> str:
     return _dump(payload) + "\n"
 
 
-def emit_report(report: ComplexityReport | dict, path: str) -> None:
-    """Write a report as deterministic pretty-printed JSON."""
-    payload = report.to_dict() if isinstance(report, ComplexityReport) else report
-    text = serialize(payload)
+def write_text(text: str, path: str) -> None:
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def emit_report(report: dict, path: str) -> None:
+    """Write a report as deterministic pretty-printed JSON."""
+    write_text(serialize(report), path)
 
 
 def parse_report(path: str) -> dict:
@@ -152,7 +123,18 @@ def matrix_from_report(rep: dict, name: str) -> np.ndarray:
         rows = rep["matrices"][name]
     except (KeyError, TypeError):
         raise DataError(f"report has no matrix {name!r}") from None
-    return np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    bad = DataError(f"report matrix {name!r} is not a list of equal-length "
+                    "rows of numbers")
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise bad
+    try:
+        values = np.array([[float(v) for v in row] for row in rows],
+                          dtype=np.float64)
+    except (TypeError, ValueError):
+        raise bad from None
+    if values.ndim != 2 or np.isnan(values).any():
+        raise bad
+    return values
 
 
 def _matrix_payload(values: np.ndarray) -> list[list[float]]:
@@ -163,14 +145,12 @@ def build_report(*, dataset_path: str, ds: LabeledDataset, emb: EmbeddedDataset,
                  params: HyperParams, X: ClassSimilarityMatrix,
                  W: SymmetricAffinity, L: Laplacian | None,
                  spec: Spectrum, scores: ComplexityScores,
-                 metrics: tuple[str, ...] = ("cmsauls", "csg", "auls"),
+                 metrics: tuple[str, ...] = METRICS,
                  descriptors: DescriptorReport | None = None,
                  reduction_label: str | None = None,
                  threads: int = 1, created: str | None = None,
-                 ) -> ComplexityReport:
+                 ) -> dict:
     """Assemble the full run report from the pipeline stages."""
-    if created is None:
-        created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     dataset_meta = {
         "path": dataset_path,
         "samples": ds.n_samples,
@@ -200,14 +180,6 @@ def build_report(*, dataset_path: str, ds: LabeledDataset, emb: EmbeddedDataset,
     matrices = {"X": _matrix_payload(X.values), "W": _matrix_payload(W.values)}
     if L is not None:
         matrices["L"] = _matrix_payload(L.values)
-    scores_dict = {m: getattr(scores, m) for m in metrics}
-    desc_dict = None
-    if descriptors is not None:
-        desc_dict = {
-            "f1": descriptors.f1, "f2": descriptors.f2, "f3": descriptors.f3,
-            "n1": descriptors.n1, "n2": descriptors.n2, "n3": descriptors.n3,
-            "t2": descriptors.t2, "n2_skipped": descriptors.n2_skipped,
-        }
     diag = X.diagnostics
     diagnostics = {
         "degenerate_densities": diag.degenerate_densities,
@@ -216,23 +188,24 @@ def build_report(*, dataset_path: str, ds: LabeledDataset, emb: EmbeddedDataset,
         "zero_denominator_pairs": [list(p) for p in diag.zero_denominator_pairs],
         "definitions": dict(DEFINITIONS),
     }
-    return ComplexityReport(
-        dataset_meta=dataset_meta, params=params_dict, reduction=reduction,
-        matrices=matrices, spectrum=tuple(float(v) for v in spec.eigenvalues),
-        scores=scores_dict, descriptors=desc_dict, diagnostics=diagnostics,
-        created=created,
-    )
+    return {
+        **header(created),
+        "dataset": dataset_meta,
+        "params": params_dict,
+        "reduction": reduction,
+        "matrices": matrices,
+        "spectrum": [float(v) for v in spec.eigenvalues],
+        "scores": {m: getattr(scores, m) for m in metrics},
+        "descriptors": None if descriptors is None else asdict(descriptors),
+        "diagnostics": diagnostics,
+    }
 
 
 def build_benchmark_report(result: BenchmarkResult, params: HyperParams, *,
                            n_classes: int, dim: int, per_class: int,
                            trials: int, created: str | None = None) -> dict:
-    if created is None:
-        created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return {
-        "schema": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
-        "created": created,
+        **header(created),
         "config": {
             "classes": n_classes,
             "dim": dim,
@@ -256,14 +229,6 @@ def build_benchmark_report(result: BenchmarkResult, params: HyperParams, *,
         },
         "skipped_metrics": list(result.skipped_metrics),
     }
-
-
-def emit_spectrum_svg(s: Spectrum, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(spectrum_svg(s))
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def mds_svg(m: InterClassMap, labels, width: int = 480,
@@ -308,14 +273,6 @@ def mds_svg(m: InterClassMap, labels, width: int = 480,
     )
 
 
-def emit_mds_svg(m: InterClassMap, labels, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(mds_svg(m, labels))
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
-
-
 def benchmark_svg(result: BenchmarkResult, metric: str = "cmsauls",
                   width: int = 480, height: int = 360) -> str:
     """Scatter of oracle error (x) against one metric (y)."""
@@ -356,12 +313,3 @@ def benchmark_svg(result: BenchmarkResult, metric: str = "cmsauls",
         f"{marks}"
         f"</svg>"
     )
-
-
-def emit_benchmark_svg(result: BenchmarkResult, path: str,
-                       metric: str = "cmsauls") -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(benchmark_svg(result, metric))
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None

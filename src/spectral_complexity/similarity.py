@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .ingest import HyperParams
+from .ingest import HyperParams, class_partition
 from .reduce import EmbeddedDataset
 
 # Duplicate-point floor: radii below 1e-12 of the target spread count as
@@ -165,40 +165,43 @@ def class_pair_expectation(source: int, target: int, emb: EmbeddedDataset,
                            ) -> float:
     """Mean density of class `target` over M points drawn from class `source`.
 
-    Draws are without replacement when the class has enough samples,
-    with replacement otherwise. Every query drops one coincident target
-    (leave-one-out). On the self pair that removes the query's own copy;
-    on cross pairs it only fires when classes share identical points,
-    and keeps such duplicated classes scoring like the self pair.
+    Draws are without replacement; a class smaller than M (or E) is
+    used whole and the pair is recorded. Every query drops one
+    coincident target (leave-one-out). On the self pair that removes
+    the query's own copy; on cross pairs it only fires when classes
+    share identical points, and keeps such duplicated classes scoring
+    like the self pair.
     """
-    value, degenerate, replaced = _pair_expectation(source, target, emb,
-                                                    params, rng)
+    rows = _class_rows(emb)
+    if not {source, target} <= set(range(len(rows))):
+        raise DataError(f"class pair ({source}, {target}) is out of range")
+    value, degenerate, whole = _pair_expectation(rows[source], rows[target],
+                                                 emb, params, rng)
     if diagnostics is not None:
         diagnostics.degenerate_densities += degenerate
-        if replaced:
+        if whole:
             diagnostics.replacement_pairs.append((source, target))
     return value
 
 
-def _pair_expectation(source: int, target: int, emb: EmbeddedDataset,
-                      params: HyperParams, rng: np.random.Generator,
-                      ) -> tuple[float, int, bool]:
-    src_idx = np.flatnonzero(emb.labels == source)
-    tgt_idx = np.flatnonzero(emb.labels == target)
-    if src_idx.size == 0:
-        raise DataError(f"class {source} is empty")
-    if tgt_idx.size == 0:
-        raise DataError(f"class {target} is empty")
-    replace_src = src_idx.size < params.M
-    replace_tgt = tgt_idx.size < params.E
-    q_rows = rng.choice(src_idx, size=params.M, replace=replace_src)
-    t_rows = rng.choice(tgt_idx, size=params.E, replace=replace_tgt)
-    queries = emb.features[q_rows]
-    targets = emb.features[t_rows]
+def _class_rows(emb: EmbeddedDataset) -> list[np.ndarray]:
+    rows = class_partition(emb)
+    for c, idx in enumerate(rows):
+        if idx.size == 0:
+            raise DataError(f"class {c} is empty")
+    return rows
+
+
+def _pair_expectation(src_idx: np.ndarray, tgt_idx: np.ndarray,
+                      emb: EmbeddedDataset, params: HyperParams,
+                      rng: np.random.Generator) -> tuple[float, int, bool]:
+    m = min(params.M, src_idx.size)
+    e = min(params.E, tgt_idx.size)
+    queries = emb.features[rng.choice(src_idx, size=m, replace=False)]
+    targets = emb.features[rng.choice(tgt_idx, size=e, replace=False)]
     density, degenerate = _batch_density(queries, targets, params.k,
                                          exclude_self=True)
-    value = float(np.sum(density) / params.M)
-    return value, degenerate, bool(replace_src or replace_tgt)
+    return float(np.sum(density) / m), degenerate, m < params.M or e < params.E
 
 
 def build_similarity_matrix(emb: EmbeddedDataset, params: HyperParams, *,
@@ -217,10 +220,12 @@ def build_similarity_matrix(emb: EmbeddedDataset, params: HyperParams, *,
         raise DataError(f"need at least 2 classes, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(n)
              if include_diagonal or i != j]
+    rows = _class_rows(emb)
 
     def job(pair: tuple[int, int]) -> tuple[float, int, bool]:
         i, j = pair
-        return _pair_expectation(i, j, emb, params, pair_rng(params.seed, i, j))
+        return _pair_expectation(rows[i], rows[j], emb, params,
+                                 pair_rng(params.seed, i, j))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

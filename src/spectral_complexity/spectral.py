@@ -9,7 +9,7 @@ under the spectrum (baseline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,6 +75,17 @@ class ComplexityScores:
     cmsauls: float
     csg: float
     auls: float
+
+
+METRICS = tuple(f.name for f in fields(ComplexityScores))
+
+# Emitted under report diagnostics so every score can be recomputed from
+# the stored spectrum without consulting the source code.
+DEFINITIONS = {
+    "cmsauls": "sum of cummax of (lam[i+1]^2 - lam[i]^2) / (2 (n - i))",
+    "csg": "sum of cummax of (lam[i+1] - lam[i]) / (n - i)",
+    "auls": "sum of (lam[i] + lam[i+1]) / 2",
+}
 
 
 def build_laplacian(W: SymmetricAffinity) -> Laplacian:

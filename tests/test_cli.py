@@ -228,3 +228,98 @@ class TestBenchmarkCommand:
     def test_bad_separations_exit_2(self):
         res = run_cli("benchmark", "--separations", "6,oops,1")
         assert res.returncode == 2
+
+
+def main_in_process(capsys, *args):
+    """Run cli.main in this process; return (exit code, stdout, stderr)."""
+    from spectral_complexity import cli
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write_csv(path, features, labels):
+    lines = [",".join(f"x{i}" for i in range(features.shape[1])) + ",label"]
+    for row, lab in zip(features, labels):
+        lines.append(",".join(f"{v:.9f}" for v in row) + f",c{lab}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def gaussian_classes(n_classes, per_class, dim, spread, seed):
+    rng = np.random.default_rng(seed)
+    means = spread * rng.standard_normal((n_classes, dim))
+    feats = np.vstack([m + rng.standard_normal((per_class, dim))
+                       for m in means])
+    return feats, np.repeat(np.arange(n_classes), per_class)
+
+
+class TestSmallClasses:
+    """Classes smaller than M or E are used whole, not resampled."""
+
+    def test_sixty_row_classes_score_like_explicit_sizes(self, tmp_path,
+                                                          capsys):
+        data = write_csv(tmp_path / "small.csv",
+                         *gaussian_classes(4, 60, 5, 1.0, seed=3))
+        out = tmp_path / "report.json"
+        code, stdout, _ = main_in_process(capsys, "complexity", "--input",
+                                          str(data), "--out", str(out))
+        assert code == 0
+        explicit = main_in_process(capsys, "complexity", "--input",
+                                   str(data), "--M", "60", "--E", "60")
+        assert explicit[0] == 0
+        assert stdout == explicit[1]
+        report = json.loads(out.read_text())
+        assert report["scores"]["cmsauls"] > 0
+        assert report["diagnostics"]["degenerate_densities"] == 0
+        assert len(report["diagnostics"]["replacement_pairs"]) == 16
+
+    def test_many_features_give_a_finite_score(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "wide.csv",
+                         *gaussian_classes(8, 93, 29, 1.0, seed=14))
+        code, stdout, _ = main_in_process(capsys, "complexity", "--input",
+                                          str(data))
+        assert code == 0
+        assert np.isfinite(float(parse_stdout(stdout)["cmsauls"]))
+
+    def test_class_too_small_for_k_exits_2(self, tmp_path, capsys):
+        feats, labels = gaussian_classes(2, 30, 3, 1.0, seed=1)
+        data = write_csv(tmp_path / "tiny.csv", feats[:33], labels[:33])
+        code, _, stderr = main_in_process(capsys, "complexity", "--input",
+                                          str(data))
+        assert code == 2
+        assert "k=3 exceeds usable target count" in stderr
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.5], [0.5]],
+        [[1.0, "half"], [0.5, 1.0]],
+        [[1.0, None], [0.5, 1.0]],
+        [[1.0, "nan"], [0.5, 1.0]],
+        {"rows": [[1.0]]},
+        "W",
+        7,
+        [],
+        [1.0, 0.5],
+    ])
+    def test_bad_matrix_exits_2(self, tmp_path, capsys, matrix):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"matrices": {"W": matrix}}))
+        code, _, stderr = main_in_process(capsys, "mds", "--from-report",
+                                          str(path))
+        assert code == 2
+        assert stderr.startswith("error: ") and "'W'" in stderr
+
+
+def test_memory_error_exits_3(blob_csv, capsys, monkeypatch):
+    from spectral_complexity import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_similarity_matrix", exhausted)
+    code, _, stderr = main_in_process(capsys, "complexity", "--input",
+                                      str(blob_csv))
+    assert code == 3
+    assert stderr == "error: out of memory\n"
