@@ -1,7 +1,7 @@
 """Golden outputs: every CLI subcommand, compared byte for byte.
 
 Each case in CASES runs `cli.main` on the inputs in tests/golden/inputs,
-from a scratch directory so every path in a report is relative. The JSON
+from a temporary directory so every path in a report is relative. The JSON
 and SVG files it writes and its stdout are compared with
 tests/golden/expected; only the "created" timestamp is blanked. Every
 input class has at least M and E rows, so no pair samples a class
