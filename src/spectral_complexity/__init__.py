@@ -14,26 +14,25 @@ from .analysis import (BenchmarkResult, CorrelationResult, InterClassMap,
 from .descriptors import (DescriptorReport, compute_descriptors, f1, f2, f3,
                           n1, n2, n3, t2)
 from .errors import DataError, NumericError, SpectralComplexityError
-from .ingest import (HyperParams, LabeledDataset, ReductionSpec,
+from .ingest import (HyperParams, LabeledDataset, ReductionMeta, ReductionSpec,
                      class_partition, load_csv, load_binary, load_dataset)
-from .reduce import (EmbeddedDataset, PCAModel, ReductionMeta,
-                     apply_reduction, fit_pca)
+from .reduce import PCAModel, apply_reduction, fit_pca
 from .report import (benchmark_svg, build_benchmark_report, build_report,
                      emit_report, matrix_from_report, mds_svg, parse_report,
-                     serialize)
+                     serialize, spectrum_svg)
 from .similarity import (ClassSimilarityMatrix, SimilarityDiagnostics,
                          SymmetricAffinity, bray_curtis_symmetrize,
                          build_similarity_matrix, class_pair_expectation,
                          knn_density, pair_rng)
 from .spectral import (ComplexityScores, Laplacian, Spectrum, auls,
                        build_laplacian, cmsauls, compute_scores, csg,
-                       scaled_area_increments, spectrum, spectrum_svg)
+                       scaled_area_increments, spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkResult", "ClassSimilarityMatrix", "ComplexityScores",
-    "CorrelationResult", "DataError", "DescriptorReport", "EmbeddedDataset",
+    "CorrelationResult", "DataError", "DescriptorReport",
     "HyperParams", "InterClassMap", "LabeledDataset", "Laplacian",
     "NumericError", "PCAModel", "ReductionMeta", "ReductionSpec",
     "SimilarityDiagnostics", "Spectrum", "SpectralComplexityError",

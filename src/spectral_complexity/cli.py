@@ -23,42 +23,38 @@ from .ingest import HyperParams, ReductionSpec, load_dataset
 from .reduce import apply_reduction
 from .report import (benchmark_svg, build_benchmark_report, build_report,
                      emit_report, header, matrix_from_report, mds_svg,
-                     parse_report, write_text)
+                     parse_report, spectrum_svg, write_text)
 from .similarity import bray_curtis_symmetrize, build_similarity_matrix
-from .spectral import (METRICS, build_laplacian, compute_scores, spectrum,
-                       spectrum_svg)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("SPECTRAL_COMPLEXITY_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DataError(
-            f"SPECTRAL_COMPLEXITY_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise DataError(f"thread count must be >= 1, got {value}")
-    return value
+from .spectral import METRICS, build_laplacian, compute_scores, spectrum
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise DataError(f"thread count must be >= 1, got {args.threads}")
-        return args.threads
-    return _default_threads()
+    """--threads if given, else $SPECTRAL_COMPLEXITY_THREADS, else 1."""
+    value = args.threads
+    if value is None:
+        raw = os.environ.get("SPECTRAL_COMPLEXITY_THREADS", "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise DataError(
+                f"SPECTRAL_COMPLEXITY_THREADS must be an integer, got {raw!r}"
+            ) from None
+    if value < 1:
+        raise DataError(f"thread count must be >= 1, got {value}")
+    return value
 
 
 def _parse_metrics(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise DataError("no metrics selected")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in METRICS:
             raise DataError(
                 f"unknown metric {name!r}; choose from {', '.join(METRICS)}"
             )
+        if name in names[:i]:
+            raise DataError(f"metric {name!r} is repeated")
     return names
 
 

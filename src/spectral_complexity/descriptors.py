@@ -16,8 +16,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import DataError
-from .ingest import class_partition
-from .reduce import EmbeddedDataset
+from .ingest import LabeledDataset, class_partition
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,11 @@ DESCRIPTORS = tuple(f.name for f in fields(DescriptorReport)
                     if f.name != "n2_skipped")
 
 
-def _class_blocks(emb: EmbeddedDataset) -> list[np.ndarray]:
+def _class_blocks(emb: LabeledDataset) -> list[np.ndarray]:
     return [emb.features[idx] for idx in class_partition(emb)]
 
 
-def f1(emb: EmbeddedDataset) -> float:
+def f1(emb: LabeledDataset) -> float:
     """Maximum over features of the Fisher discriminant ratio.
 
     Per feature: between-class variance (class-count weighted squared
@@ -87,7 +86,7 @@ def _pair_intervals(A: np.ndarray, B: np.ndarray):
     return lo, hi, joint_lo, joint_hi
 
 
-def f2(emb: EmbeddedDataset) -> float:
+def f2(emb: LabeledDataset) -> float:
     """Volume of the per-pair feature-range overlap, averaged over pairs."""
     blocks = _class_blocks(emb)
     vals = []
@@ -102,7 +101,7 @@ def f2(emb: EmbeddedDataset) -> float:
     return float(np.mean(vals))
 
 
-def f3(emb: EmbeddedDataset) -> float:
+def f3(emb: LabeledDataset) -> float:
     """Best single feature's fraction of points outside the overlap interval.
 
     Per pair: for each feature, count the pair's points strictly outside
@@ -145,7 +144,7 @@ def _mst_edges(X: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
-def n1(emb: EmbeddedDataset) -> float:
+def n1(emb: LabeledDataset) -> float:
     """Fraction of points touching a cross-class edge of the Euclidean MST."""
     labels = emb.labels
     border = set()
@@ -156,7 +155,7 @@ def n1(emb: EmbeddedDataset) -> float:
     return len(border) / emb.n_samples
 
 
-def _neighbor_distances(emb: EmbeddedDataset) -> tuple[np.ndarray, np.ndarray]:
+def _neighbor_distances(emb: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     """Per point: nearest same-class and nearest other-class distance.
 
     Points with no same-class partner get +inf in the first array.
@@ -169,7 +168,7 @@ def _neighbor_distances(emb: EmbeddedDataset) -> tuple[np.ndarray, np.ndarray]:
     return intra, extra
 
 
-def n2(emb: EmbeddedDataset) -> tuple[float, int]:
+def n2(emb: LabeledDataset) -> tuple[float, int]:
     """Mean intra-class over mean extra-class nearest-neighbour distance.
 
     Returns (value, skipped) where skipped counts singleton-class points
@@ -187,7 +186,7 @@ def n2(emb: EmbeddedDataset) -> tuple[float, int]:
     return num / den, skipped
 
 
-def n3(emb: EmbeddedDataset) -> float:
+def n3(emb: LabeledDataset) -> float:
     """Leave-one-out 1-nearest-neighbour error rate (first index wins ties)."""
     D = squareform(pdist(emb.features))
     np.fill_diagonal(D, np.inf)
@@ -195,12 +194,12 @@ def n3(emb: EmbeddedDataset) -> float:
     return float(np.mean(emb.labels[nearest] != emb.labels))
 
 
-def t2(emb: EmbeddedDataset) -> float:
+def t2(emb: LabeledDataset) -> float:
     """Samples per embedded dimension, N/d."""
     return emb.n_samples / emb.n_features
 
 
-def compute_descriptors(emb: EmbeddedDataset) -> DescriptorReport:
+def compute_descriptors(emb: LabeledDataset) -> DescriptorReport:
     n2_value, skipped = n2(emb)
     return DescriptorReport(
         f1=f1(emb), f2=f2(emb), f3=f3(emb),

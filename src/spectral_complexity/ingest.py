@@ -67,6 +67,15 @@ class ReductionSpec:
 
 
 @dataclass(frozen=True)
+class ReductionMeta:
+    """How the embedding was produced, for provenance reporting."""
+
+    method: str
+    d: int
+    explained_variance_ratio: tuple[float, ...] = ()
+
+
+@dataclass(frozen=True)
 class HyperParams:
     """Run configuration for the similarity estimator.
 
@@ -100,12 +109,14 @@ class LabeledDataset:
 
     features is (N, D) float64; labels is (N,) int64 with values
     0..n_classes-1 assigned in order of first appearance; class_names
-    holds the original label strings in that same order.
+    holds the original label strings in that same order. meta is set
+    by the reduction stage and records how features were produced.
     """
 
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...] = field(default=())
+    meta: ReductionMeta | None = None
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))

@@ -9,56 +9,16 @@ depend on the eigensolver's arbitrary sign choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .ingest import HyperParams, LabeledDataset, ReductionSpec
+from .ingest import HyperParams, LabeledDataset, ReductionMeta, ReductionSpec
 
 # Entries at or below this magnitude are treated as zero when picking
 # the sign-defining coordinate of a component.
 _SIGN_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class ReductionMeta:
-    """How the embedding was produced, for provenance reporting."""
-
-    method: str
-    d: int
-    explained_variance_ratio: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class EmbeddedDataset:
-    """Reduced feature matrix with labels carried over unchanged."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    class_names: tuple[str, ...]
-    meta: ReductionMeta
-
-    def __post_init__(self) -> None:
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        if feats.ndim != 2 or feats.shape[1] < 1:
-            raise DataError(f"embedded features must be (N, d>=1), got {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise NumericError("reduction produced non-finite values")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
 
 
 @dataclass(frozen=True)
@@ -122,24 +82,24 @@ def fit_pca(ds: LabeledDataset, spec: ReductionSpec) -> PCAModel:
                     explained_variance_ratio=ratios[:d].copy())
 
 
-def apply_reduction(ds: LabeledDataset, params: HyperParams) -> EmbeddedDataset:
+def apply_reduction(ds: LabeledDataset, params: HyperParams) -> LabeledDataset:
     """Produce the embedding the similarity stage consumes.
 
-    Passthrough keeps the feature matrix bit-identical with d = D; PCA
-    modes center the data and project it onto the retained components.
+    The result is ds with its meta set. Passthrough keeps the feature
+    matrix bit-identical with d = D; PCA modes center the data and
+    project it onto the retained components.
     """
     spec = params.reduction
     if spec.mode == "passthrough":
-        meta = ReductionMeta(method="passthrough", d=ds.n_features)
-        return EmbeddedDataset(features=ds.features, labels=ds.labels,
-                               class_names=ds.class_names, meta=meta)
+        return replace(ds, meta=ReductionMeta("passthrough", ds.n_features))
     model = fit_pca(ds, spec)
     projected = model.transform(ds.features)
+    if not np.all(np.isfinite(projected)):
+        raise NumericError("reduction produced non-finite values")
     meta = ReductionMeta(
         method="pca",
         d=projected.shape[1],
         explained_variance_ratio=tuple(float(r)
                                        for r in model.explained_variance_ratio),
     )
-    return EmbeddedDataset(features=projected, labels=ds.labels,
-                           class_names=ds.class_names, meta=meta)
+    return replace(ds, features=projected, meta=meta)

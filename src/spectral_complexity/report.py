@@ -21,7 +21,6 @@ from .analysis import BenchmarkResult, InterClassMap
 from .descriptors import DescriptorReport
 from .errors import DataError, NumericError
 from .ingest import HyperParams, LabeledDataset
-from .reduce import EmbeddedDataset
 from .similarity import ClassSimilarityMatrix, SymmetricAffinity
 from .spectral import (DEFINITIONS, METRICS, ComplexityScores, Laplacian,
                        Spectrum)
@@ -141,7 +140,7 @@ def _matrix_payload(values: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in values]
 
 
-def build_report(*, dataset_path: str, ds: LabeledDataset, emb: EmbeddedDataset,
+def build_report(*, dataset_path: str, ds: LabeledDataset, emb: LabeledDataset,
                  params: HyperParams, X: ClassSimilarityMatrix,
                  W: SymmetricAffinity, L: Laplacian | None,
                  spec: Spectrum, scores: ComplexityScores,
@@ -150,7 +149,13 @@ def build_report(*, dataset_path: str, ds: LabeledDataset, emb: EmbeddedDataset,
                  reduction_label: str | None = None,
                  threads: int = 1, created: str | None = None,
                  ) -> dict:
-    """Assemble the full run report from the pipeline stages."""
+    """Assemble the full run report from the pipeline stages.
+
+    emb is the output of apply_reduction, whose meta fills the
+    reduction block; reduction_label, when given, overrides its method.
+    """
+    if emb.meta is None:
+        raise DataError("emb has no reduction meta; pass apply_reduction's result")
     dataset_meta = {
         "path": dataset_path,
         "samples": ds.n_samples,
@@ -171,23 +176,13 @@ def build_report(*, dataset_path: str, ds: LabeledDataset, emb: EmbeddedDataset,
         "threads": threads,
         "metrics": list(metrics),
     }
-    reduction = {
-        "method": (reduction_label if reduction_label is not None
-                   else emb.meta.method),
-        "d": emb.meta.d,
-        "explained_variance_ratio": list(emb.meta.explained_variance_ratio),
-    }
+    reduction = asdict(emb.meta)
+    if reduction_label is not None:
+        reduction["method"] = reduction_label
     matrices = {"X": _matrix_payload(X.values), "W": _matrix_payload(W.values)}
     if L is not None:
         matrices["L"] = _matrix_payload(L.values)
-    diag = X.diagnostics
-    diagnostics = {
-        "degenerate_densities": diag.degenerate_densities,
-        "replacement_pairs": [list(p) for p in diag.replacement_pairs],
-        "zero_mass_rows": list(diag.zero_mass_rows),
-        "zero_denominator_pairs": [list(p) for p in diag.zero_denominator_pairs],
-        "definitions": dict(DEFINITIONS),
-    }
+    diagnostics = {**asdict(X.diagnostics), "definitions": dict(DEFINITIONS)}
     return {
         **header(created),
         "dataset": dataset_meta,
@@ -222,13 +217,75 @@ def build_benchmark_report(result: BenchmarkResult, params: HyperParams, *,
             "stderrs": list(result.oracle_stderrs),
         },
         "metrics": {k: list(v) for k, v in result.metric_values.items()},
-        "correlations": {
-            name: {"r": c.r, "p_value": c.p_value,
-                   "sample_count": c.sample_count}
-            for name, c in result.correlations.items()
-        },
+        "correlations": {name: asdict(c)
+                         for name, c in result.correlations.items()},
         "skipped_metrics": list(result.skipped_metrics),
     }
+
+
+def _svg(width: int, height: int, body: str) -> str:
+    """A standalone SVG document on a white background."""
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<rect width="{width}" height="{height}" fill="white"/>{body}</svg>'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke: str = "#333") -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"/>'
+
+
+def spectrum_svg(s: Spectrum, width: int = 480, height: int = 320) -> str:
+    """Line plot of eigenvalue index vs value as a standalone SVG string."""
+    lam = s.eigenvalues
+    n = lam.size
+    left, right, top, bottom = 50, 15, 15, 35
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+    y_max = float(lam[-1]) if lam[-1] > 0 else 1.0
+
+    def px(i: int) -> float:
+        return left + (plot_w * i / max(1, n - 1))
+
+    def py(v: float) -> float:
+        return top + plot_h * (1.0 - v / y_max)
+
+    points = " ".join(f"{px(i):.2f},{py(float(v)):.2f}" for i, v in enumerate(lam))
+    marks = "".join(
+        f'<circle cx="{px(i):.2f}" cy="{py(float(v)):.2f}" r="3" fill="#1f77b4"/>'
+        for i, v in enumerate(lam)
+    )
+    ticks = []
+    for frac in (0.0, 0.5, 1.0):
+        v = y_max * frac
+        y = py(v)
+        ticks.append(
+            _line(left - 4, f"{y:.2f}", left, f"{y:.2f}")
+            + f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-size="11">{v:.3g}</text>'
+        )
+    x_labels = "".join(
+        f'<text x="{px(i):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
+        f'font-size="11">{i}</text>'
+        for i in range(n)
+    ) if n <= 20 else (
+        f'<text x="{px(0):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
+        f'font-size="11">0</text>'
+        f'<text x="{px(n - 1):.2f}" y="{height - bottom + 16}" '
+        f'text-anchor="middle" font-size="11">{n - 1}</text>'
+    )
+    return _svg(
+        width, height,
+        _line(left, top, left, height - bottom)
+        + _line(left, height - bottom, width - right, height - bottom)
+        + "".join(ticks) + x_labels
+        + f'<polyline points="{points}" fill="none" stroke="#1f77b4" '
+        f'stroke-width="1.5"/>'
+        + marks
+        + f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
+        f'text-anchor="middle" font-size="12">eigenvalue index</text>'
+    )
 
 
 def mds_svg(m: InterClassMap, labels, width: int = 480,
@@ -260,16 +317,11 @@ def mds_svg(m: InterClassMap, labels, width: int = 480,
             f'<text x="{px(x) + 8:.2f}" y="{py(y) - 8:.2f}" font-size="12">'
             f"{escape(name)}</text>"
         )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-        f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'<line x1="{width / 2}" y1="{margin}" x2="{width / 2}" '
-        f'y2="{height - margin}" stroke="#ccc"/>'
-        f'<line x1="{margin}" y1="{height / 2}" x2="{width - margin}" '
-        f'y2="{height / 2}" stroke="#ccc"/>'
-        f"{''.join(marks)}"
-        f"</svg>"
+    return _svg(
+        width, height,
+        _line(width / 2, margin, width / 2, height - margin, "#ccc")
+        + _line(margin, height / 2, width - margin, height / 2, "#ccc")
+        + "".join(marks)
     )
 
 
@@ -297,19 +349,14 @@ def benchmark_svg(result: BenchmarkResult, metric: str = "cmsauls",
         f'font-size="10">s={s:g}</text>'
         for x, y, s in zip(xs, ys, result.separations)
     )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-        f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" '
-        f'stroke="#333"/>'
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="#333"/>'
-        f'<text x="{(left + width - right) / 2:.0f}" y="{height - 8}" '
+    return _svg(
+        width, height,
+        _line(left, top, left, height - bottom)
+        + _line(left, height - bottom, width - right, height - bottom)
+        + f'<text x="{(left + width - right) / 2:.0f}" y="{height - 8}" '
         f'text-anchor="middle" font-size="12">oracle error</text>'
         f'<text x="14" y="{(top + height - bottom) / 2:.0f}" font-size="12" '
         f'transform="rotate(-90 14 {(top + height - bottom) / 2:.0f})" '
         f'text-anchor="middle">{escape(metric)}</text>'
-        f"{marks}"
-        f"</svg>"
+        + marks
     )

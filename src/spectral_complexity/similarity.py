@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .ingest import HyperParams, class_partition
-from .reduce import EmbeddedDataset
+from .ingest import HyperParams, LabeledDataset, class_partition
 
 # Duplicate-point floor: radii below 1e-12 of the target spread count as
 # coincident and are clamped so the hypercube volume stays positive.
@@ -159,7 +158,7 @@ def knn_density(query: np.ndarray, targets: np.ndarray, k: int,
     return float(density[0])
 
 
-def class_pair_expectation(source: int, target: int, emb: EmbeddedDataset,
+def class_pair_expectation(source: int, target: int, emb: LabeledDataset,
                            params: HyperParams, rng: np.random.Generator,
                            diagnostics: SimilarityDiagnostics | None = None,
                            ) -> float:
@@ -172,9 +171,9 @@ def class_pair_expectation(source: int, target: int, emb: EmbeddedDataset,
     share identical points, and keeps such duplicated classes scoring
     like the self pair.
     """
-    rows = _class_rows(emb)
-    if not {source, target} <= set(range(len(rows))):
+    if not {source, target} <= set(range(emb.n_classes)):
         raise DataError(f"class pair ({source}, {target}) is out of range")
+    rows = class_partition(emb)
     value, degenerate, whole = _pair_expectation(rows[source], rows[target],
                                                  emb, params, rng)
     if diagnostics is not None:
@@ -184,16 +183,8 @@ def class_pair_expectation(source: int, target: int, emb: EmbeddedDataset,
     return value
 
 
-def _class_rows(emb: EmbeddedDataset) -> list[np.ndarray]:
-    rows = class_partition(emb)
-    for c, idx in enumerate(rows):
-        if idx.size == 0:
-            raise DataError(f"class {c} is empty")
-    return rows
-
-
 def _pair_expectation(src_idx: np.ndarray, tgt_idx: np.ndarray,
-                      emb: EmbeddedDataset, params: HyperParams,
+                      emb: LabeledDataset, params: HyperParams,
                       rng: np.random.Generator) -> tuple[float, int, bool]:
     m = min(params.M, src_idx.size)
     e = min(params.E, tgt_idx.size)
@@ -204,7 +195,7 @@ def _pair_expectation(src_idx: np.ndarray, tgt_idx: np.ndarray,
     return float(np.sum(density) / m), degenerate, m < params.M or e < params.E
 
 
-def build_similarity_matrix(emb: EmbeddedDataset, params: HyperParams, *,
+def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
                             row_normalize: bool = True,
                             include_diagonal: bool = True,
                             threads: int = 1) -> ClassSimilarityMatrix:
@@ -220,7 +211,7 @@ def build_similarity_matrix(emb: EmbeddedDataset, params: HyperParams, *,
         raise DataError(f"need at least 2 classes, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(n)
              if include_diagonal or i != j]
-    rows = _class_rows(emb)
+    rows = class_partition(emb)
 
     def job(pair: tuple[int, int]) -> tuple[float, int, bool]:
         i, j = pair
@@ -260,18 +251,19 @@ def bray_curtis_symmetrize(X: ClassSimilarityMatrix) -> SymmetricAffinity:
     diagonal pinned to exactly 1. A zero denominator (two all-zero
     columns) yields W_ij = 1 and a diagnostics entry.
     """
-    vals = X.values
-    n = vals.shape[0]
+    cols = np.ascontiguousarray(X.values.T)
+    n = cols.shape[0]
     W = np.ones((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = float(np.abs(vals[:, i] - vals[:, j]).sum())
-            den = float((vals[:, i] + vals[:, j]).sum())
-            if den == 0.0:
-                X.diagnostics.zero_denominator_pairs.append((i, j))
-                w = 1.0
-            else:
-                # Rounding can push the ratio a hair past [0, 1].
-                w = min(1.0, max(0.0, 1.0 - num / den))
-            W[i, j] = W[j, i] = w
+    for i in range(n - 1):
+        # One sum per contiguous row keeps numpy's pairwise summation
+        # order, so W matches a column-by-column loop bit for bit.
+        num = np.abs(cols[i + 1:] - cols[i]).sum(axis=1)
+        den = (cols[i + 1:] + cols[i]).sum(axis=1)
+        zero = den == 0.0
+        X.diagnostics.zero_denominator_pairs.extend(
+            (i, i + 1 + int(j)) for j in np.flatnonzero(zero))
+        # Rounding can push the ratio a hair past [0, 1].
+        w = np.clip(1.0 - num / np.where(zero, 1.0, den), 0.0, 1.0)
+        w[zero] = 1.0
+        W[i, i + 1:] = W[i + 1:, i] = w
     return SymmetricAffinity(values=W)

@@ -153,61 +153,3 @@ def auls(s: Spectrum) -> float:
 
 def compute_scores(s: Spectrum) -> ComplexityScores:
     return ComplexityScores(cmsauls=cmsauls(s), csg=csg(s), auls=auls(s))
-
-
-def spectrum_svg(s: Spectrum, width: int = 480, height: int = 320) -> str:
-    """Line plot of eigenvalue index vs value as a standalone SVG string."""
-    lam = s.eigenvalues
-    n = lam.size
-    left, right, top, bottom = 50, 15, 15, 35
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-    y_max = float(lam[-1]) if lam[-1] > 0 else 1.0
-
-    def px(i: int) -> float:
-        return left + (plot_w * i / max(1, n - 1))
-
-    def py(v: float) -> float:
-        return top + plot_h * (1.0 - v / y_max)
-
-    points = " ".join(f"{px(i):.2f},{py(float(v)):.2f}" for i, v in enumerate(lam))
-    marks = "".join(
-        f'<circle cx="{px(i):.2f}" cy="{py(float(v)):.2f}" r="3" fill="#1f77b4"/>'
-        for i, v in enumerate(lam)
-    )
-    ticks = []
-    for frac in (0.0, 0.5, 1.0):
-        v = y_max * frac
-        y = py(v)
-        ticks.append(
-            f'<line x1="{left - 4}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" '
-            f'stroke="#333"/>'
-            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="11">{v:.3g}</text>'
-        )
-    x_labels = "".join(
-        f'<text x="{px(i):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
-        f'font-size="11">{i}</text>'
-        for i in range(n)
-    ) if n <= 20 else (
-        f'<text x="{px(0):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
-        f'font-size="11">0</text>'
-        f'<text x="{px(n - 1):.2f}" y="{height - bottom + 16}" '
-        f'text-anchor="middle" font-size="11">{n - 1}</text>'
-    )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-        f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" '
-        f'stroke="#333"/>'
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="#333"/>'
-        f"{''.join(ticks)}{x_labels}"
-        f'<polyline points="{points}" fill="none" stroke="#1f77b4" '
-        f'stroke-width="1.5"/>'
-        f"{marks}"
-        f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
-        f'text-anchor="middle" font-size="12">eigenvalue index</text>'
-        f"</svg>"
-    )

@@ -81,6 +81,13 @@ class TestComplexityCommand:
                       "--metric", "bogus")
         assert res.returncode == 2
 
+    def test_repeated_metric_exits_2(self, blob_csv):
+        res = run_cli("complexity", "--input", str(blob_csv),
+                      "--metric", "cmsauls,csg,cmsauls")
+        assert res.returncode == 2
+        assert "'cmsauls' is repeated" in res.stderr
+        assert res.stdout == ""
+
     def test_store_laplacian_and_svg(self, blob_csv, tmp_path):
         out = tmp_path / "report.json"
         svg = tmp_path / "spectrum.svg"
@@ -152,6 +159,20 @@ class TestComplexityCommand:
         res = run_cli("complexity", "--input", str(blob_csv),
                       env_extra={"SPECTRAL_COMPLEXITY_THREADS": "lots"})
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("flag, env, code", [
+        (["--threads", "0"], None, 2),
+        ([], "0", 2),
+        (["--threads", "1"], "lots", 0),
+    ])
+    def test_threads_flag_wins_and_must_be_positive(self, blob_csv, flag, env,
+                                                    code):
+        res = run_cli("complexity", "--input", str(blob_csv), "--M", "5",
+                      "--E", "5", *flag,
+                      env_extra=env and {"SPECTRAL_COMPLEXITY_THREADS": env})
+        assert res.returncode == code
+        if code:
+            assert "thread count must be >= 1, got 0" in res.stderr
 
 
 class TestHelp:

@@ -125,6 +125,16 @@ class TestApplyReduction:
         assert len(emb.meta.explained_variance_ratio) == 2
 
 
+    def test_non_finite_projection_is_numeric_error(self):
+        # Finite inputs whose projection onto (1, 1)/sqrt(2) overflows.
+        big = 1.5e308
+        ds = LabeledDataset(features=[[big, big], [-big, -big]] * 2 + [[1e307, 0.0]],
+                            labels=[0, 1, 0, 1, 0])
+        params = HyperParams(reduction=ReductionSpec.parse("pca:1"))
+        with np.errstate(all="ignore"), pytest.raises(NumericError,
+                                                      match="non-finite"):
+            apply_reduction(ds, params)
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
        st.integers(min_value=5, max_value=24),

@@ -140,6 +140,17 @@ class TestReportRoundTrip:
         assert parsed["descriptors"]["t2"] == 60.0
         assert parsed["descriptors"]["n2_skipped"] == 0
 
+    def test_dataset_without_reduction_meta_rejected(self, blob_csv):
+        ds = load_csv(str(blob_csv))
+        params = HyperParams(M=5, E=5)
+        X = build_similarity_matrix(ds, params)
+        W = bray_curtis_symmetrize(X)
+        spec = spectrum(build_laplacian(W))
+        with pytest.raises(DataError, match="apply_reduction"):
+            build_report(dataset_path=str(blob_csv), ds=ds, emb=ds,
+                         params=params, X=X, W=W, L=None, spec=spec,
+                         scores=compute_scores(spec))
+
     def test_inf_strings_map_back_to_floats(self):
         rep = {"matrices": {"Z": [[0.0, "inf"], ["-inf", 1.0]]}}
         Z = matrix_from_report(rep, "Z")

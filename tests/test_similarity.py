@@ -75,6 +75,35 @@ def test_batch_matches_single_queries(seed, dim, n_targets, exclude):
     assert np.array_equal(batch, singles)
 
 
+def reference_density(query, targets, k, exclude_self):
+    """One query's k-NN density, written with plain Python floats."""
+    dists = [max(abs(q - t) for q, t in zip(query, row)) for row in targets]
+    if exclude_self and 0.0 in dists:
+        del dists[dists.index(0.0)]
+    radius = sorted(dists)[k - 1]
+    span = max(max(col) - min(col) for col in zip(*targets))
+    eps = 1e-12 * max(1.0, span)
+    return k / (len(targets) * (2.0 * max(radius, eps)) ** len(query)), radius < eps
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("exclude", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_batch_density_matches_python_reference(dim, exclude, k):
+    rng = np.random.default_rng(dim)
+    targets = rng.standard_normal((12, dim))
+    targets[[5, 9, 11]] = targets[2]
+    # Fresh points, plus queries on a single and on a fourfold target.
+    queries = np.vstack([rng.standard_normal((6, dim)), targets[[0, 2, 7]]])
+    density, degenerate = _batch_density(queries, targets, k, exclude)
+    ref = [reference_density(q, targets.tolist(), k, exclude)
+           for q in queries.tolist()]
+    # pow() may differ from numpy's power kernel in the last bit.
+    np.testing.assert_allclose(density, [d for d, _ in ref], rtol=1e-13, atol=0)
+    assert degenerate == sum(flag for _, flag in ref)
+    assert degenerate > 0
+
+
 class TestClassPairExpectation:
     def test_single_source_point(self):
         feats = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -277,6 +306,30 @@ class TestBrayCurtis:
         assert np.array_equal(W.values, W.values.T)
         assert W.values.min() >= 0.0
         assert W.values.max() <= 1.0
+
+
+    @pytest.mark.parametrize("n", [2, 9, 80])
+    def test_matches_double_loop_reference(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.uniform(size=(n, n)) * rng.exponential(size=(n, 1))
+        values[:, sorted({0, n // 2, n - 1})] = 0.0
+        X = self.wrap(values)
+        W = bray_curtis_symmetrize(X)
+        ref = np.ones((n, n))
+        zero_pairs = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                num = float(np.abs(values[:, i] - values[:, j]).sum())
+                den = float((values[:, i] + values[:, j]).sum())
+                if den == 0.0:
+                    zero_pairs.append((i, j))
+                    w = 1.0
+                else:
+                    w = min(1.0, max(0.0, 1.0 - num / den))
+                ref[i, j] = ref[j, i] = w
+        assert np.array_equal(W.values, ref)
+        assert X.diagnostics.zero_denominator_pairs == zero_pairs
+        assert zero_pairs
 
 
 @settings(max_examples=40, deadline=None)
