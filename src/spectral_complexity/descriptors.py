@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DataError
 from .ingest import LabeledDataset, class_partition
@@ -119,40 +119,42 @@ def f3(emb: LabeledDataset) -> float:
 
 
 def _mst_edges(X: np.ndarray) -> list[tuple[int, int]]:
-    """Kruskal MST edges; ties broken by the smaller (i, j) index pair."""
-    n = X.shape[0]
-    dist = pdist(X)
-    iu, ju = np.triu_indices(n, k=1)
-    order = np.lexsort((ju, iu, dist))
-    parent = list(range(n))
+    """Euclidean MST edges (i, j) with i < j, sorted, built by Prim.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    Edges compare by (length, i, j). That strict order makes the tree
+    unique, so it is the tree Kruskal builds when it breaks length ties
+    by the smaller (i, j) index pair.
+    """
+    v = 0
+    rest = np.arange(1, X.shape[0])
+    # Per outside point: length of, and tree end of, its best edge.
+    length = np.full(rest.size, np.inf)
+    near = np.zeros(rest.size, dtype=np.intp)
     edges: list[tuple[int, int]] = []
-    for e in order:
-        i, j = int(iu[e]), int(ju[e])
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-            if len(edges) == n - 1:
-                break
-    return edges
+    while rest.size:
+        row = cdist(X[v:v + 1], X[rest])[0]
+        # Both edges end at the outside point, so their order on a tie is
+        # the order of their tree ends.
+        better = (row < length) | ((row == length) & (v < near))
+        length[better] = row[better]
+        near[better] = v
+        tied = np.flatnonzero(length == length.min())
+        lo = np.minimum(near[tied], rest[tied])
+        hi = np.maximum(near[tied], rest[tied])
+        first = np.lexsort((hi, lo))[0]
+        edges.append((int(lo[first]), int(hi[first])))
+        v = rest[tied[first]]
+        keep = rest != v
+        rest, length, near = rest[keep], length[keep], near[keep]
+    return sorted(edges)
 
 
 def n1(emb: LabeledDataset) -> float:
     """Fraction of points touching a cross-class edge of the Euclidean MST."""
-    labels = emb.labels
-    border = set()
-    for i, j in _mst_edges(emb.features):
-        if labels[i] != labels[j]:
-            border.add(i)
-            border.add(j)
-    return len(border) / emb.n_samples
+    edges = np.array(_mst_edges(emb.features))
+    labels = emb.labels[edges]
+    cross = edges[labels[:, 0] != labels[:, 1]]
+    return np.unique(cross).size / emb.n_samples
 
 
 def _neighbor_distances(emb: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:

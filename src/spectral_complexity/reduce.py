@@ -49,19 +49,24 @@ def fit_pca(ds: LabeledDataset, spec: ReductionSpec) -> PCAModel:
     Components are orthonormal rows ordered by decreasing explained
     variance. In rate mode the retained count is the smallest d whose
     cumulative explained-variance ratio reaches the rate. All samples
-    identical is a numeric failure; a fixed dimension above
-    min(N-1, D) is an input error.
+    identical, or a variance that overflows, is a numeric failure; a
+    fixed dimension above min(N-1, D) is an input error.
     """
     if spec.mode == "passthrough":
         raise DataError("fit_pca requires a pca reduction mode")
     X = ds.features
     n, dim = X.shape
     limit = min(n - 1, dim)
-    mean = X.mean(axis=0)
-    centered = X - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    variance = svals ** 2 / (n - 1)
-    total = variance.sum()
+    # Features near the float64 limit overflow the mean or the squared
+    # singular values; the check below turns that into a clean failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        centered = X - mean
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        variance = svals ** 2 / (n - 1)
+        total = variance.sum()
+    if not np.isfinite(total):
+        raise NumericError("non-finite PCA variance: feature values too large")
     if total <= 0.0:
         raise NumericError("zero total variance: all samples are identical")
     ratios = variance / total

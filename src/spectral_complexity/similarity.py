@@ -92,8 +92,9 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
                    exclude_self: bool) -> tuple[np.ndarray, int]:
     """Density of `targets` at each query row; returns (densities, degenerate count).
 
-    Exactly matches per-query knn_density calls: same radii, same
-    epsilon floor, same overflow clamps.
+    Each row matches the pure-Python per-query reference in
+    tests/test_similarity.py up to the last bit of pow(): same radii,
+    same epsilon floor, same overflow clamps.
     """
     n_targets, dim = targets.shape
     dist = np.max(np.abs(queries[:, None, :] - targets[None, :, :]), axis=2)
@@ -101,11 +102,10 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
     if exclude_self:
         # Leave-one-out: drop one coincident target per query; genuine
         # duplicates beyond the first still participate.
-        for m in range(dist.shape[0]):
-            zeros = np.flatnonzero(dist[m] == 0.0)
-            if zeros.size:
-                dist[m, zeros[0]] = np.inf
-                usable[m] -= 1
+        zero = dist == 0.0
+        hit = np.flatnonzero(zero.any(axis=1))
+        dist[hit, zero[hit].argmax(axis=1)] = np.inf
+        usable[hit] -= 1
     if np.any(usable < k):
         raise DataError(
             f"k={k} exceeds usable target count {int(usable.min())}"
@@ -115,21 +115,15 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
     eps = _DEGENERACY_SCALE * max(1.0, span)
     degenerate = radius < eps
     radius = np.where(degenerate, eps, radius)
-    # Huge radii may overflow the volume to inf; that maps to density 0
-    # below, so the overflow itself is expected.
+    # Huge radii overflow the volume to inf, and k / inf is exactly 0; a
+    # volume that underflows to 0 is clamped to the largest density.
     with np.errstate(over="ignore"):
-        volume = (2.0 * radius) ** dim
-        denom = n_targets * volume
-    density = np.empty_like(radius)
-    overflow = denom == 0.0
-    vanished = np.isinf(denom)
-    normal = ~overflow & ~vanished
+        denom = n_targets * (2.0 * radius) ** dim
     with np.errstate(divide="ignore"):
-        density[normal] = k / denom[normal]
+        density = k / denom
+    overflow = denom == 0.0
     density[overflow] = np.finfo(np.float64).max
-    density[vanished] = 0.0
-    degenerate = degenerate | overflow
-    return density, int(degenerate.sum())
+    return density, int((degenerate | overflow).sum())
 
 
 def knn_density(query: np.ndarray, targets: np.ndarray, k: int,
@@ -207,8 +201,6 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
     diagonal leaves those cells at 0 before normalization.
     """
     n = emb.n_classes
-    if n < 2:
-        raise DataError(f"need at least 2 classes, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(n)
              if include_diagonal or i != j]
     rows = class_partition(emb)

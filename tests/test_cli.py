@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 
 import numpy as np
@@ -344,3 +345,17 @@ def test_memory_error_exits_3(blob_csv, capsys, monkeypatch):
                                       str(blob_csv))
     assert code == 3
     assert stderr == "error: out of memory\n"
+
+
+def test_pca_variance_overflow_exits_3_without_warnings(tmp_path, capsys):
+    # Finite features whose squared singular values overflow float64.
+    big = 1.5e308
+    feats = np.array([[big, big], [-big, -big]] * 2 + [[1e307, 0.0]])
+    data = write_csv(tmp_path / "huge.csv", feats, [0, 1, 0, 1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, stderr = main_in_process(capsys, "complexity", "--input",
+                                          str(data), "--reduce", "pca:1")
+    assert code == 3
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error: ") and "non-finite" in stderr

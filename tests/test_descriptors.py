@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from spectral_complexity import (DataError, DescriptorReport, LabeledDataset,
                                  compute_descriptors, f1, f2, f3, n1, n2, n3,
@@ -118,6 +119,67 @@ class TestNeighbourMeasures:
         emb = embed_1d([0.0, 0.0, 0.0, 0.0], [0, 0, 1, 1])
         value, skipped = n2(emb)
         assert value == 0.0 and skipped == 0
+
+
+def kruskal_edges(X):
+    """Kruskal MST over all sorted pdist edges; ties by smaller (i, j)."""
+    n = X.shape[0]
+    dist = pdist(X)
+    iu, ju = np.triu_indices(n, k=1)
+    order = np.lexsort((ju, iu, dist))
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    edges: list[tuple[int, int]] = []
+    for e in order:
+        i, j = int(iu[e]), int(ju[e])
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            edges.append((i, j))
+            if len(edges) == n - 1:
+                break
+    return edges
+
+
+def reference_n1(X, labels):
+    border = set()
+    for i, j in kruskal_edges(X):
+        if labels[i] != labels[j]:
+            border.update((i, j))
+    return len(border) / X.shape[0]
+
+
+def mst_fixture(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 61))
+    d = int(rng.integers(1, 6))
+    labels = rng.permutation(np.arange(n) % int(rng.integers(2, 4)))
+    if kind == "grid":
+        X = rng.integers(0, 3, (n, d)).astype(float)
+    elif kind == "rounded":
+        X = np.round(rng.standard_normal((n, d)), 1)
+    else:
+        # Every other point copies an earlier point of another class.
+        X = rng.standard_normal((n, d))
+        for i in range(1, n, 2):
+            other = np.flatnonzero(labels[:i] != labels[i])
+            if other.size:
+                X[i] = X[rng.choice(other)]
+    return X, labels
+
+
+@pytest.mark.parametrize("kind", ["grid", "rounded", "coincident"])
+def test_mst_and_n1_match_kruskal_reference(kind):
+    for seed in range(70):
+        X, labels = mst_fixture(kind, seed)
+        assert _mst_edges(X) == sorted(kruskal_edges(X))
+        assert n1(embed_2d(X, labels)) == reference_n1(X, labels)
 
 
 class TestSampleRatio:

@@ -55,6 +55,15 @@ class TestKnnDensity:
         # One zero removed, one remains as a genuine neighbour.
         assert diag.degenerate_densities == 0
 
+    def test_collapsed_and_vanished_volumes_are_clamped(self):
+        # In d=40 the floored radius 1e-12 gives a volume (2e-12)**40 that
+        # underflows to 0, and a radius of 1e10 one that overflows to inf.
+        targets = np.zeros((5, 40))
+        queries = np.vstack([np.zeros(40), np.full(40, 1e10)])
+        density, degenerate = _batch_density(queries, targets, 3, True)
+        assert density.tolist() == [np.finfo(np.float64).max, 0.0]
+        assert degenerate == 1
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
