@@ -119,6 +119,10 @@ def run_benchmark(args) -> int:
     params = HyperParams(M=args.M, E=args.E, k=args.k, seed=args.seed)
     threads = _resolve_threads(args)
     separations = _parse_separations(args.separations)
+    shown = METRICS + (DESCRIPTORS if args.descriptors else ())
+    if args.svg_metric not in shown:
+        raise DataError(f"--svg-metric {args.svg_metric!r} is not computed; "
+                        f"choose from {', '.join(shown)}")
     suite = analysis.gen_gaussian_suite(args.classes, args.dim, args.per_class,
                                         separations, args.seed,
                                         trials=args.trials)

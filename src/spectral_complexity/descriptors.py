@@ -13,10 +13,12 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import DataError
 from .ingest import LabeledDataset, class_partition
+
+_BLOCK = 1 << 20  # distance entries per cdist block of the n2/n3 pass
 
 
 @dataclass(frozen=True)
@@ -157,17 +159,23 @@ def n1(emb: LabeledDataset) -> float:
     return np.unique(cross).size / emb.n_samples
 
 
-def _neighbor_distances(emb: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per point: nearest same-class and nearest other-class distance.
-
-    Points with no same-class partner get +inf in the first array.
+def _neighbours(emb: LabeledDataset) -> tuple[np.ndarray, ...]:
+    """Per point: nearest same-class distance (+inf for a singleton class),
+    nearest other-class distance and nearest point (lowest index on ties),
+    computed from `cdist` blocks of about _BLOCK entries.
     """
-    D = squareform(pdist(emb.features))
-    np.fill_diagonal(D, np.inf)
-    same = emb.labels[:, None] == emb.labels[None, :]
-    intra = np.where(same, D, np.inf).min(axis=1)
-    extra = np.where(~same, D, np.inf).min(axis=1)
-    return intra, extra
+    X, labels, n = emb.features, emb.labels, emb.n_samples
+    intra, extra, nearest = np.empty(n), np.empty(n), np.empty(n, np.intp)
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        D = cdist(X[rows], X)
+        D[rows - lo, rows] = np.inf
+        same = labels[rows, None] == labels
+        intra[rows] = np.where(same, D, np.inf).min(axis=1)
+        extra[rows] = np.where(same, np.inf, D).min(axis=1)
+        nearest[rows] = D.argmin(axis=1)
+    return intra, extra, nearest
 
 
 def n2(emb: LabeledDataset) -> tuple[float, int]:
@@ -176,7 +184,7 @@ def n2(emb: LabeledDataset) -> tuple[float, int]:
     Returns (value, skipped) where skipped counts singleton-class points
     excluded from both means.
     """
-    intra, extra = _neighbor_distances(emb)
+    intra, extra, _ = _neighbours(emb)
     valid = np.isfinite(intra)
     skipped = int((~valid).sum())
     if not valid.any():
@@ -189,11 +197,8 @@ def n2(emb: LabeledDataset) -> tuple[float, int]:
 
 
 def n3(emb: LabeledDataset) -> float:
-    """Leave-one-out 1-nearest-neighbour error rate (first index wins ties)."""
-    D = squareform(pdist(emb.features))
-    np.fill_diagonal(D, np.inf)
-    nearest = np.argmin(D, axis=1)
-    return float(np.mean(emb.labels[nearest] != emb.labels))
+    """Leave-one-out 1-nearest-neighbour error rate (lowest index wins ties)."""
+    return float(np.mean(emb.labels[_neighbours(emb)[2]] != emb.labels))
 
 
 def t2(emb: LabeledDataset) -> float:

@@ -12,6 +12,7 @@ results are independent of evaluation order and thread schedule.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -210,8 +211,11 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
         return _pair_expectation(rows[i], rows[j], emb, params,
                                  pair_rng(params.seed, i, j))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # The pool starts a thread per submit while none is idle, and map
+    # submits every pair at once, so workers are capped at the CPU count.
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, pairs))
     else:
         results = [job(p) for p in pairs]
@@ -246,16 +250,18 @@ def bray_curtis_symmetrize(X: ClassSimilarityMatrix) -> SymmetricAffinity:
     cols = np.ascontiguousarray(X.values.T)
     n = cols.shape[0]
     W = np.ones((n, n), dtype=np.float64)
+    zero_pairs: list[tuple[int, int]] = []
     for i in range(n - 1):
         # One sum per contiguous row keeps numpy's pairwise summation
         # order, so W matches a column-by-column loop bit for bit.
         num = np.abs(cols[i + 1:] - cols[i]).sum(axis=1)
         den = (cols[i + 1:] + cols[i]).sum(axis=1)
         zero = den == 0.0
-        X.diagnostics.zero_denominator_pairs.extend(
-            (i, i + 1 + int(j)) for j in np.flatnonzero(zero))
+        zero_pairs.extend((i, i + 1 + int(j)) for j in np.flatnonzero(zero))
         # Rounding can push the ratio a hair past [0, 1].
         w = np.clip(1.0 - num / np.where(zero, 1.0, den), 0.0, 1.0)
         w[zero] = 1.0
         W[i, i + 1:] = W[i + 1:, i] = w
+    # Assigned, not extended, so a repeated call records the same pairs.
+    X.diagnostics.zero_denominator_pairs = zero_pairs
     return SymmetricAffinity(values=W)

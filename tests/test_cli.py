@@ -251,6 +251,39 @@ class TestBenchmarkCommand:
         res = run_cli("benchmark", "--separations", "6,oops,1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("extra", [
+        ("--svg-metric", "n1"),
+        ("--svg-metric", "bogus", "--descriptors"),
+        ("--svg-metric", "bogus"),
+    ])
+    @pytest.mark.parametrize("with_svg", [True, False])
+    def test_svg_metric_checked_before_work(self, tmp_path, monkeypatch,
+                                            capsys, extra, with_svg):
+        from spectral_complexity import analysis
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite was generated")
+
+        monkeypatch.setattr(analysis, "gen_gaussian_suite", no_work)
+        out, svg = tmp_path / "y.json", tmp_path / "y.svg"
+        args = ["benchmark", "--out", str(out), *extra]
+        if with_svg:
+            args += ["--svg", str(svg)]
+        code, stdout, err = main_in_process(capsys, *args)
+        assert code == 2
+        assert "--svg-metric" in err and stdout == ""
+        assert not out.exists() and not svg.exists()
+
+    def test_svg_metric_may_name_a_descriptor(self, tmp_path):
+        svg = tmp_path / "bench.svg"
+        res = run_cli("benchmark", "--classes", "2", "--dim", "1",
+                      "--per-class", "30", "--separations", "6,2,0.5",
+                      "--trials", "10000", "--M", "20", "--E", "20",
+                      "--k", "2", "--descriptors", "--svg", str(svg),
+                      "--svg-metric", "n3")
+        assert res.returncode == 0, res.stderr
+        xml.dom.minidom.parse(str(svg))
+
 
 def main_in_process(capsys, *args):
     """Run cli.main in this process; return (exit code, stdout, stderr)."""

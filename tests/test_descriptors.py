@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from spectral_complexity import (DataError, DescriptorReport, LabeledDataset,
                                  compute_descriptors, f1, f2, f3, n1, n2, n3,
                                  t2)
-from spectral_complexity.descriptors import _mst_edges
+from spectral_complexity import descriptors
+from spectral_complexity.descriptors import _mst_edges, _neighbours
 
 from conftest import embed, make_blobs
 
@@ -115,6 +118,11 @@ class TestNeighbourMeasures:
         with pytest.raises(DataError, match="single sample"):
             n2(emb)
 
+    def test_n3_lowest_index_wins_ties(self):
+        # Point 0 is equally near to points 1 and 2, which differ in class.
+        assert n3(embed_1d([0.0, -1.0, 1.0], [0, 1, 0])) == 2.0 / 3.0
+        assert n3(embed_1d([0.0, 1.0, -1.0], [0, 0, 1])) == 1.0 / 3.0
+
     def test_coincident_classes_n2_zero(self):
         emb = embed_1d([0.0, 0.0, 0.0, 0.0], [0, 0, 1, 1])
         value, skipped = n2(emb)
@@ -180,6 +188,89 @@ def test_mst_and_n1_match_kruskal_reference(kind):
         X, labels = mst_fixture(kind, seed)
         assert _mst_edges(X) == sorted(kruskal_edges(X))
         assert n1(embed_2d(X, labels)) == reference_n1(X, labels)
+
+
+def reference_neighbor_distances(emb):
+    """Nearest same-class and other-class distances from one full matrix."""
+    D = squareform(pdist(emb.features))
+    np.fill_diagonal(D, np.inf)
+    same = emb.labels[:, None] == emb.labels[None, :]
+    intra = np.where(same, D, np.inf).min(axis=1)
+    extra = np.where(~same, D, np.inf).min(axis=1)
+    return intra, extra
+
+
+def reference_nearest(emb):
+    """Nearest point per row of the full matrix; first index wins ties."""
+    D = squareform(pdist(emb.features))
+    np.fill_diagonal(D, np.inf)
+    return np.argmin(D, axis=1)
+
+
+def reference_n2(emb):
+    intra, extra = reference_neighbor_distances(emb)
+    valid = np.isfinite(intra)
+    num = float(intra[valid].mean())
+    den = float(extra[valid].mean())
+    if den == 0.0:
+        return (0.0 if num == 0.0 else float(np.inf)), int((~valid).sum())
+    return num / den, int((~valid).sum())
+
+
+def neighbour_fixture(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 61))
+    d = int(rng.integers(1, 6))
+    labels = rng.permutation(np.arange(n) % int(rng.integers(2, 4)))
+    if kind == "singleton":
+        # Up to three one-point classes beside classes of two or more.
+        single = int(rng.integers(1, 4))
+        base = int(rng.integers(1, (n - single) // 2 + 1))
+        labels = rng.permutation(np.r_[np.arange(n - single) % base,
+                                       base + np.arange(single)])
+    if kind == "grid":
+        X = rng.integers(0, 3, (n, d)).astype(float)
+    else:
+        X = np.round(rng.standard_normal((n, d)), 1)
+    if kind == "coincident":
+        # Every other point copies an earlier point of another class.
+        for i in range(1, n, 2):
+            other = np.flatnonzero(labels[:i] != labels[i])
+            if other.size:
+                X[i] = X[rng.choice(other)]
+    if kind == "scaled":
+        X *= 1e150
+    return embed_2d(X, labels)
+
+
+@pytest.mark.parametrize("block", [7, 97, 1 << 20])
+@pytest.mark.parametrize("kind", ["grid", "coincident", "singleton", "scaled"])
+def test_neighbours_match_full_matrix_reference(kind, block, monkeypatch):
+    monkeypatch.setattr(descriptors, "_BLOCK", block)
+    for seed in range(60):
+        emb = neighbour_fixture(kind, seed)
+        intra, extra, nearest = _neighbours(emb)
+        ref_intra, ref_extra = reference_neighbor_distances(emb)
+        assert np.array_equal(intra, ref_intra)
+        assert np.array_equal(extra, ref_extra)
+        assert np.array_equal(nearest, reference_nearest(emb))
+        assert n2(emb) == reference_n2(emb)
+        assert n3(emb) == float(np.mean(
+            emb.labels[reference_nearest(emb)] != emb.labels))
+
+
+@pytest.mark.parametrize("measure", [n2, n3])
+def test_neighbour_pass_allocates_no_square_matrix(measure):
+    n = 4000
+    rng = np.random.default_rng(0)
+    emb = embed_2d(rng.standard_normal((n, 3)), np.arange(n) % 2)
+    tracemalloc.start()
+    try:
+        measure(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
 
 
 class TestSampleRatio:

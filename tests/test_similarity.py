@@ -210,6 +210,33 @@ class TestBuildSimilarityMatrix:
         b = build_similarity_matrix(emb, params, threads=8)
         assert np.array_equal(a.values, b.values)
 
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        from spectral_complexity import similarity
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(similarity, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(similarity.os, "cpu_count", lambda: 3)
+        ds = make_blobs([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], per_class=20)
+        params = HyperParams(M=10, E=10, k=3, seed=21)
+        emb = embed(ds)
+        X = build_similarity_matrix(emb, params, threads=10 ** 6)
+        assert seen == [3]
+        assert np.array_equal(X.values,
+                              build_similarity_matrix(emb, params).values)
+
     def test_permutation_equivariance_exact(self):
         from spectral_complexity import LabeledDataset
         ds = make_blobs([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0)],
@@ -306,6 +333,13 @@ class TestBrayCurtis:
         W = bray_curtis_symmetrize(X)
         assert W.values[0, 1] == 1.0
         assert (0, 1) in X.diagnostics.zero_denominator_pairs
+
+    def test_repeated_call_records_pairs_once(self):
+        X = self.wrap([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        first = bray_curtis_symmetrize(X)
+        second = bray_curtis_symmetrize(X)
+        assert np.array_equal(first.values, second.values)
+        assert X.diagnostics.zero_denominator_pairs == [(0, 1)]
 
     def test_diagonal_exactly_one_and_symmetric(self):
         rng = np.random.default_rng(4)
