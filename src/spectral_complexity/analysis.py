@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 from scipy.special import betainc
 from scipy.stats import rankdata
 
@@ -126,6 +126,10 @@ def classical_mds(U: np.ndarray) -> InterClassMap:
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise DataError(f"dissimilarity matrix must be square, got {U.shape}")
+    if U.shape[0] < 2:
+        raise DataError(f"need at least 2 classes to embed, got {U.shape[0]}")
+    if not np.isfinite(U).all():
+        raise DataError("dissimilarities must be finite")
     if np.abs(U - U.T).max() > 1e-12:
         raise DataError("dissimilarity matrix must be symmetric")
     if np.any(U < 0):
@@ -134,7 +138,10 @@ def classical_mds(U: np.ndarray) -> InterClassMap:
         raise DataError("dissimilarity diagonal must be zero")
     n = U.shape[0]
     C = np.eye(n) - 1.0 / n
-    B = -0.5 * C @ (U * U) @ C
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = -0.5 * C @ (U * U) @ C
+    if not np.isfinite(B).all():
+        raise DataError("dissimilarities too large to embed")
     evals, evecs = np.linalg.eigh(B)
     top = np.clip(evals[[-1, -2]], 0.0, None)
     # Eigenvalue noise around 0 rides on near-constant eigenvectors and
@@ -146,9 +153,9 @@ def classical_mds(U: np.ndarray) -> InterClassMap:
         peak = int(np.argmax(np.abs(col)))
         if col[peak] < 0:
             coords[:, axis] = -col
-    dist = squareform(pdist(coords))
+    # pdist's condensed order is the row-major upper triangle.
     iu, ju = np.triu_indices(n, k=1)
-    stress = float(((U[iu, ju] - dist[iu, ju]) ** 2).sum())
+    stress = float(((U[iu, ju] - pdist(coords)) ** 2).sum())
     return InterClassMap(coordinates=coords, stress=stress)
 
 

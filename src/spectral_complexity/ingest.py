@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,6 +190,30 @@ def class_partition(ds: LabeledDataset) -> list[np.ndarray]:
     return [np.flatnonzero(ds.labels == c) for c in range(ds.n_classes)]
 
 
+@contextmanager
+def open_input(path: str, what: str = "", binary: bool = False):
+    """Open an input file as bytes or as UTF-8 text, a leading BOM dropped.
+
+    An OSError or UnicodeDecodeError raised while opening, or while
+    reading inside the with block, becomes a DataError naming the file.
+    """
+    try:
+        with (open(path, "rb") if binary
+              else open(path, encoding="utf-8-sig", newline="")) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what}{path}: {exc}") from None
+
+
+def read_json(path: str, what: str = ""):
+    """Parse a JSON input file through open_input."""
+    with open_input(path, what) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON: {exc}") from None
+
+
 def _parse_feature(token: str, path: str, line_no: int) -> float:
     try:
         return float(token)
@@ -205,17 +230,12 @@ def load_csv(path: str, label_column: str = "label") -> LabeledDataset:
     other column is parsed as a 64-bit float feature. Blank lines are
     skipped. Malformed rows raise DataError with a 1-based line number.
     """
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
     rows: list[list[float]] = []
     labels: list[str] = []
     header: list[str] | None = None
     label_idx = -1
-    with fh:
-        reader = csv.reader(fh)
-        for line_no, record in enumerate(reader, start=1):
+    with open_input(path) as fh:
+        for line_no, record in enumerate(csv.reader(fh), start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue
             if header is None:
@@ -256,13 +276,9 @@ def load_binary(path: str) -> LabeledDataset:
     text file resolved relative to the sidecar's directory.
     """
     meta_path = path + ".json"
-    try:
-        with open(meta_path, "r") as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read sidecar {meta_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: invalid JSON: {exc}") from None
+    meta = read_json(meta_path, "sidecar ")
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: sidecar must be a JSON object")
     for key in ("rows", "cols", "labels"):
         if key not in meta:
             raise DataError(f"{meta_path}: missing key {key!r}")
@@ -273,25 +289,20 @@ def load_binary(path: str) -> LabeledDataset:
         raise DataError(f"{meta_path}: labels must name a text file")
     label_path = os.path.join(os.path.dirname(os.path.abspath(meta_path)),
                               meta["labels"])
-    try:
-        with open(label_path, "r") as fh:
-            labels = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read label file {label_path}: {exc}") from None
+    with open_input(label_path, "label file ") as fh:
+        labels = [line.strip() for line in fh if line.strip()]
     if len(labels) != rows:
         raise DataError(
             f"{label_path}: {len(labels)} labels but matrix declares {rows} rows"
         )
     expected = rows * cols * 4
-    try:
-        actual = os.path.getsize(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if actual != expected:
-        raise DataError(
-            f"{path}: size {actual} bytes does not match rows*cols*4 = {expected}"
-        )
-    raw = np.fromfile(path, dtype="<f4").reshape(rows, cols)
+    with open_input(path, binary=True) as fh:
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            raise DataError(
+                f"{path}: size {actual} bytes does not match rows*cols*4 = {expected}"
+            )
+        raw = np.fromfile(fh, dtype="<f4").reshape(rows, cols)
     return LabeledDataset.from_raw_labels(raw.astype(np.float64), labels)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import BenchmarkResult, InterClassMap
 from .descriptors import DescriptorReport
 from .errors import DataError, NumericError
-from .ingest import HyperParams, LabeledDataset
+from .ingest import HyperParams, LabeledDataset, read_json
 from .similarity import ClassSimilarityMatrix, SymmetricAffinity
 from .spectral import (DEFINITIONS, METRICS, ComplexityScores, Laplacian,
                        Spectrum)
@@ -107,13 +107,7 @@ def emit_report(report: dict, path: str) -> None:
 
 
 def parse_report(path: str) -> dict:
-    try:
-        with open(path, "r") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from None
+    return read_json(path)
 
 
 def matrix_from_report(rep: dict, name: str) -> np.ndarray:
@@ -236,8 +230,9 @@ def _line(x1, y1, x2, y2, stroke: str = "#333") -> str:
     return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"/>'
 
 
-def spectrum_svg(s: Spectrum, width: int = 480, height: int = 320) -> str:
+def spectrum_svg(s: Spectrum) -> str:
     """Line plot of eigenvalue index vs value as a standalone SVG string."""
+    width, height = 480, 320
     lam = s.eigenvalues
     n = lam.size
     left, right, top, bottom = 50, 15, 15, 35
@@ -288,9 +283,9 @@ def spectrum_svg(s: Spectrum, width: int = 480, height: int = 320) -> str:
     )
 
 
-def mds_svg(m: InterClassMap, labels, width: int = 480,
-            height: int = 420) -> str:
+def mds_svg(m: InterClassMap, labels) -> str:
     """Labeled scatter of class coordinates, symmetric about the origin."""
+    width, height = 480, 420
     coords = m.coordinates
     names = [str(v) for v in labels]
     if len(names) != coords.shape[0]:
@@ -325,9 +320,9 @@ def mds_svg(m: InterClassMap, labels, width: int = 480,
     )
 
 
-def benchmark_svg(result: BenchmarkResult, metric: str = "cmsauls",
-                  width: int = 480, height: int = 360) -> str:
+def benchmark_svg(result: BenchmarkResult, metric: str = "cmsauls") -> str:
     """Scatter of oracle error (x) against one metric (y)."""
+    width, height = 480, 360
     if metric not in result.metric_values:
         raise DataError(f"benchmark has no metric {metric!r}")
     xs = np.asarray(result.oracle_errors)

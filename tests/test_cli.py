@@ -366,6 +366,63 @@ class TestMalformedReport:
         assert code == 2
         assert stderr.startswith("error: ") and "'W'" in stderr
 
+    @pytest.mark.parametrize("matrix", [[[1.0]],
+                                        [[1.0, "-inf"], ["-inf", 1.0]],
+                                        [[1.0, -1e200], [-1e200, 1.0]]])
+    def test_matrix_mds_cannot_embed_exits_2(self, tmp_path, capsys, matrix):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"matrices": {"W": matrix}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = main_in_process(
+                capsys, "mds", "--from-report", str(path), "--out",
+                str(tmp_path / "coords.json"))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert not (tmp_path / "coords.json").exists()
+
+
+def unreadable_input(tmp_path, case):
+    """Write one input that cannot be read; return (argv, path named)."""
+    feats = np.arange(8, dtype="<f4").reshape(4, 2)
+    data = write_binary_dataset(tmp_path, feats, ["a", "b", "a", "b"])
+    if case == "csv":
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x1,x2,label\n0.1,0.2,a\xff\n0.3,0.1,b\n")
+        return ["complexity", "--input", str(path)], path
+    if case == "sidecar":
+        path = tmp_path / "embedded.bin.json"
+        path.write_bytes(b'{"rows": 4, "cols": 2, "labels": "\xff"}')
+        return ["complexity", "--input", str(data)], path
+    if case == "labels":
+        path = tmp_path / "embedded.labels"
+        path.write_bytes(b"a\xff\nb\na\nb\n")
+        return ["complexity", "--input", str(data)], path
+    if case == "report":
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"matrices": {"W": [[1, 0.5], [0.5, 1]]}, '
+                         b'"dataset": {"class_names": ["\xff", "b"]}}')
+        return ["mds", "--from-report", str(path)], path
+    # A directory where the payload should be, sized like a 32x32 matrix
+    # on filesystems that give directories 4096 bytes.
+    path = tmp_path / "dir.bin"
+    path.mkdir()
+    (tmp_path / "dir.labels").write_text("a\nb\n" * 16)
+    (tmp_path / "dir.bin.json").write_text(json.dumps(
+        {"rows": 32, "cols": 32, "labels": "dir.labels"}))
+    return ["complexity", "--input", str(path)], path
+
+
+@pytest.mark.parametrize("case", ["csv", "sidecar", "labels", "report",
+                                  "payload"])
+def test_unreadable_input_exits_2(tmp_path, capsys, case):
+    argv, path = unreadable_input(tmp_path, case)
+    code, stdout, stderr = main_in_process(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: cannot read")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+    assert path.name in stderr
+
 
 def test_memory_error_exits_3(blob_csv, capsys, monkeypatch):
     from spectral_complexity import cli

@@ -62,6 +62,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no_such_file"):
             load_csv("no_such_file.csv")
 
+    def test_bom_is_ignored(self, tmp_path):
+        text = "label,x1,x2\na,0.1,0.2\nb,0.3,0.1\na,0.5,0.5\n"
+        plain = load_csv(write(tmp_path, text))
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        bom = load_csv(str(tmp_path / "bom.csv"))
+        assert np.array_equal(bom.features, plain.features)
+        assert np.array_equal(bom.labels, plain.labels)
+        assert bom.class_names == plain.class_names == ("a", "b")
+
     def test_load_twice_bit_identical(self, blob_csv):
         a = load_csv(str(blob_csv))
         b = load_csv(str(blob_csv))
@@ -116,6 +125,13 @@ class TestLoadBinary:
         np.ones(4, dtype="<f4").tofile(path)
         with pytest.raises(DataError, match="sidecar"):
             load_binary(str(path))
+
+    @pytest.mark.parametrize("meta", ["7", "null", '["rows", "cols", "labels"]'])
+    def test_sidecar_must_be_an_object(self, tmp_path, meta):
+        path = self.write_binary(tmp_path, np.ones((2, 2)), ["a", "b"])
+        (tmp_path / "feat.bin.json").write_text(meta)
+        with pytest.raises(DataError, match="JSON object"):
+            load_binary(path)
 
 
 class TestLabeledDataset:
