@@ -18,7 +18,7 @@ from scipy.special import betainc
 from scipy.stats import rankdata
 
 from .errors import DataError, NumericError
-from .ingest import HyperParams, LabeledDataset
+from .ingest import HyperParams, LabeledDataset, _checked_matrix, _store
 from .reduce import apply_reduction
 from .descriptors import DESCRIPTORS, compute_descriptors
 from .similarity import build_similarity_matrix, bray_curtis_symmetrize
@@ -51,14 +51,14 @@ class InterClassMap:
 
     def __post_init__(self) -> None:
         coords = np.asarray(self.coordinates, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise DataError(f"coordinates must be (n, 2), got {coords.shape}")
+        if coords.ndim != 2 or coords.shape[1] != 2 or not np.isfinite(coords).all():
+            raise DataError("coordinates must be a finite (n, 2) array, "
+                            f"got shape {coords.shape}")
         if np.abs(coords.mean(axis=0)).max() > 1e-9:
             raise DataError("coordinates must be centered at the origin")
-        if self.stress < 0:
-            raise DataError(f"stress must be >= 0, got {self.stress}")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coordinates", coords)
+        if not 0.0 <= self.stress < np.inf:
+            raise DataError(f"stress must be finite and >= 0, got {self.stress}")
+        _store(self, coordinates=coords)
 
 
 @dataclass(frozen=True)
@@ -123,15 +123,9 @@ def classical_mds(U: np.ndarray) -> InterClassMap:
     positive. Stress is the sum of squared distance residuals over
     unordered pairs.
     """
-    U = np.asarray(U, dtype=np.float64)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise DataError(f"dissimilarity matrix must be square, got {U.shape}")
+    U = _checked_matrix(U, "dissimilarity matrix", symmetric=True)
     if U.shape[0] < 2:
         raise DataError(f"need at least 2 classes to embed, got {U.shape[0]}")
-    if not np.isfinite(U).all():
-        raise DataError("dissimilarities must be finite")
-    if np.abs(U - U.T).max() > 1e-12:
-        raise DataError("dissimilarity matrix must be symmetric")
     if np.any(U < 0):
         raise DataError("dissimilarities must be nonnegative")
     if np.any(np.diag(U) != 0):

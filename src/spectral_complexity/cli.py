@@ -161,8 +161,7 @@ def run_mds(args) -> int:
             **header(),
             "source_report": args.from_report,
             "labels": labels,
-            "coordinates": [[float(x), float(y)]
-                            for x, y in chart.coordinates],
+            "coordinates": chart.coordinates.tolist(),
             "stress": chart.stress,
         }, args.out)
     print(f"stress={chart.stress:.17g}")

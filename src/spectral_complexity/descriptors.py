@@ -23,7 +23,7 @@ _BLOCK = 1 << 20  # distance entries per cdist block of the n2/n3 pass
 
 @dataclass(frozen=True)
 class DescriptorReport:
-    """All seven descriptor values; f1 may be +inf.
+    """All seven descriptor values; f1 and n2 may be +inf.
 
     n2_skipped counts points whose class has a single sample, which
     have no same-class neighbour and are excluded from n2.
@@ -43,10 +43,11 @@ class DescriptorReport:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise DataError(f"{name} must lie in [0, 1], got {v}")
-        if self.n2 < 0:
-            raise DataError(f"n2 must be >= 0, got {self.n2}")
-        if self.t2 <= 0:
-            raise DataError(f"t2 must be > 0, got {self.t2}")
+        for name in ("f1", "n2"):  # NaN fails each bound; +inf passes this one
+            if not getattr(self, name) >= 0.0:
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.t2 < np.inf:
+            raise DataError(f"t2 must be finite and > 0, got {self.t2}")
 
 
 DESCRIPTORS = tuple(f.name for f in fields(DescriptorReport)

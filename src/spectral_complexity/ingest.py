@@ -104,6 +104,28 @@ class HyperParams:
             raise DataError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
+def _checked_matrix(values, what: str, *, symmetric: bool = False) -> np.ndarray:
+    """values as a float64 matrix: square, non-empty, finite, and symmetric
+    within 1e-12 when asked.
+
+    Finiteness is checked before symmetry: NaN passes any comparison."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or not vals.size:
+        raise DataError(f"{what} must be a non-empty square matrix, got {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise DataError(f"{what} entries must be finite")
+    if symmetric and np.any(np.abs(vals - vals.T) > 1e-12):
+        raise DataError(f"{what} must be symmetric")
+    return vals
+
+
+def _store(obj, **arrays: np.ndarray) -> None:
+    """Mark each array read-only and set it on the frozen dataclass obj."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix plus dense integer labels.
@@ -151,10 +173,7 @@ class LabeledDataset:
             raise DataError(
                 f"class_names length {len(names)} != class count {uniq.size}"
             )
-        feats.setflags(write=False)
-        labs.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        _store(self, features=feats, labels=labs)
         object.__setattr__(self, "class_names", names)
 
     @property
@@ -228,39 +247,42 @@ def load_csv(path: str, label_column: str = "label") -> LabeledDataset:
 
     label_column names the header cell holding class labels; every
     other column is parsed as a 64-bit float feature. Blank lines are
-    skipped. Malformed rows raise DataError with a 1-based line number.
+    skipped. Malformed rows raise DataError with the 1-based physical
+    line on which the record ends, which a quoted multi-line cell moves.
     """
     rows: list[list[float]] = []
     labels: list[str] = []
     header: list[str] | None = None
     label_idx = -1
     with open_input(path) as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if header is None:
-                header = [cell.strip() for cell in record]
-                if label_column not in header:
-                    raise DataError(
-                        f"{path}: header has no column named {label_column!r}"
-                    )
-                label_idx = header.index(label_column)
-                if len(header) < 2:
-                    raise DataError(
-                        f"{path}: need at least one feature column "
-                        f"besides {label_column!r}"
-                    )
-                continue
-            if len(record) != len(header):
-                raise DataError(
-                    f"{path}: line {line_no}: expected {len(header)} cells, "
-                    f"got {len(record)}"
-                )
-            labels.append(record[label_idx].strip())
-            rows.append([
-                _parse_feature(cell, path, line_no)
-                for i, cell in enumerate(record) if i != label_idx
-            ])
+        reader = csv.reader(fh)
+        try:
+            for record in reader:
+                if not record or all(not cell.strip() for cell in record):
+                    continue
+                if header is None:
+                    header = [cell.strip() for cell in record]
+                    if label_column not in header:
+                        raise DataError(f"{path}: header has no column "
+                                        f"named {label_column!r}")
+                    label_idx = header.index(label_column)
+                    if len(header) < 2:
+                        raise DataError(
+                            f"{path}: need at least one feature column "
+                            f"besides {label_column!r}"
+                        )
+                    continue
+                line_no = reader.line_num
+                if len(record) != len(header):
+                    raise DataError(f"{path}: line {line_no}: expected "
+                                    f"{len(header)} cells, got {len(record)}")
+                labels.append(record[label_idx].strip())
+                rows.append([
+                    _parse_feature(cell, path, line_no)
+                    for i, cell in enumerate(record) if i != label_idx
+                ])
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file, header row required")
     if not rows:

@@ -104,7 +104,6 @@ def apply_reduction(ds: LabeledDataset, params: HyperParams) -> LabeledDataset:
     meta = ReductionMeta(
         method="pca",
         d=projected.shape[1],
-        explained_variance_ratio=tuple(float(r)
-                                       for r in model.explained_variance_ratio),
+        explained_variance_ratio=tuple(model.explained_variance_ratio.tolist()),
     )
     return replace(ds, features=projected, meta=meta)

@@ -130,10 +130,6 @@ def matrix_from_report(rep: dict, name: str) -> np.ndarray:
     return values
 
 
-def _matrix_payload(values: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in values]
-
-
 def build_report(*, dataset_path: str, ds: LabeledDataset, emb: LabeledDataset,
                  params: HyperParams, X: ClassSimilarityMatrix,
                  W: SymmetricAffinity, L: Laplacian | None,
@@ -173,9 +169,9 @@ def build_report(*, dataset_path: str, ds: LabeledDataset, emb: LabeledDataset,
     reduction = asdict(emb.meta)
     if reduction_label is not None:
         reduction["method"] = reduction_label
-    matrices = {"X": _matrix_payload(X.values), "W": _matrix_payload(W.values)}
+    matrices = {"X": X.values.tolist(), "W": W.values.tolist()}
     if L is not None:
-        matrices["L"] = _matrix_payload(L.values)
+        matrices["L"] = L.values.tolist()
     diagnostics = {**asdict(X.diagnostics), "definitions": dict(DEFINITIONS)}
     return {
         **header(created),
@@ -183,7 +179,7 @@ def build_report(*, dataset_path: str, ds: LabeledDataset, emb: LabeledDataset,
         "params": params_dict,
         "reduction": reduction,
         "matrices": matrices,
-        "spectrum": [float(v) for v in spec.eigenvalues],
+        "spectrum": spec.eigenvalues.tolist(),
         "scores": {m: getattr(scores, m) for m in metrics},
         "descriptors": None if descriptors is None else asdict(descriptors),
         "diagnostics": diagnostics,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .ingest import HyperParams, LabeledDataset, class_partition
+from .ingest import (HyperParams, LabeledDataset, _checked_matrix, _store,
+                     class_partition)
 
 # Duplicate-point floor: radii below 1e-12 of the target spread count as
 # coincident and are clamped so the hypercube volume stays positive.
@@ -47,13 +48,10 @@ class ClassSimilarityMatrix:
     diagnostics: SimilarityDiagnostics
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise DataError(f"similarity matrix must be square, got {vals.shape}")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise DataError("similarity entries must be finite and nonnegative")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        vals = _checked_matrix(self.values, "similarity matrix")
+        if np.any(vals < 0):
+            raise DataError("similarity entries must be nonnegative")
+        _store(self, values=vals)
 
     @property
     def n_classes(self) -> int:
@@ -67,17 +65,12 @@ class SymmetricAffinity:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise DataError(f"affinity must be square, got {vals.shape}")
-        if np.abs(vals - vals.T).max() > 1e-12:
-            raise DataError("affinity must be symmetric")
+        vals = _checked_matrix(self.values, "affinity", symmetric=True)
         if np.any(vals < 0) or np.any(vals > 1):
             raise DataError("affinity entries must lie in [0, 1]")
         if np.any(np.diag(vals) != 1.0):
             raise DataError("affinity diagonal must be exactly 1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _store(self, values=vals)
 
     @property
     def n_classes(self) -> int:

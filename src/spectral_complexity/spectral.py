@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError, NumericError
+from .ingest import _checked_matrix, _store
 from .similarity import SymmetricAffinity
 
 
@@ -24,19 +25,14 @@ class Laplacian:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise DataError(f"Laplacian must be square, got {vals.shape}")
-        if np.abs(vals - vals.T).max() > 1e-12:
-            raise DataError("Laplacian must be symmetric")
+        vals = _checked_matrix(self.values, "Laplacian", symmetric=True)
         tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
         if np.abs(vals.sum(axis=1)).max() > tol:
             raise DataError("Laplacian rows must sum to 0")
         off = vals - np.diag(np.diag(vals))
         if np.any(off > 0):
             raise DataError("Laplacian off-diagonal entries must be <= 0")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _store(self, values=vals)
 
     @property
     def n_classes(self) -> int:
@@ -51,8 +47,8 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=np.float64).ravel()
-        if vals.size == 0:
-            raise DataError("spectrum is empty")
+        if vals.size == 0 or not np.isfinite(vals).all():
+            raise DataError("spectrum must be non-empty and finite")
         if np.any(np.diff(vals) < 0):
             raise DataError("eigenvalues must be nondecreasing")
         if np.any(vals < 0):
@@ -60,8 +56,7 @@ class Spectrum:
         tol = 1e-8 * max(1.0, float(vals[-1]))
         if vals[0] > tol:
             raise DataError("smallest eigenvalue must be 0 for a Laplacian spectrum")
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
+        _store(self, eigenvalues=vals)
 
     @property
     def n(self) -> int:

@@ -449,3 +449,21 @@ def test_pca_variance_overflow_exits_3_without_warnings(tmp_path, capsys):
     assert code == 3
     assert stderr.count("\n") == 1
     assert stderr.startswith("error: ") and "non-finite" in stderr
+
+
+@pytest.mark.parametrize("text,line,message", [
+    # A quoted two-line label puts the bad cell on physical line 5 of
+    # what is the fourth record.
+    ('a,b,label\n1,2,"two\nlines"\n3,4,y\n5,oops,y\n', 5,
+     "non-numeric feature value 'oops'"),
+    ("a,b,label\n1,2," + "x" * 200_000 + "\n3,4,y\n", 2,
+     "field larger than field limit"),
+], ids=["multi-line-record", "over-long-cell"])
+def test_csv_error_names_physical_line(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, stdout, stderr = main_in_process(capsys, "descriptors", "--input",
+                                           str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {path}: line {line}: {message}")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
