@@ -44,7 +44,12 @@ class CorrelationResult:
 
 @dataclass(frozen=True)
 class InterClassMap:
-    """2-D class coordinates from classical MDS, plus the residual stress."""
+    """2-D class coordinates from classical MDS, plus the residual stress.
+
+    A float64 `coordinates` array is kept without a copy and made read-only,
+    the caller's own array included; copy it first to keep writing to
+    it. Other input is converted into a new array.
+    """
 
     coordinates: np.ndarray
     stress: float

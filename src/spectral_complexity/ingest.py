@@ -134,6 +134,11 @@ class LabeledDataset:
     0..n_classes-1 assigned in order of first appearance; class_names
     holds the original label strings in that same order. meta is set
     by the reduction stage and records how features were produced.
+
+    A C-contiguous float64 features array and an int64 labels array are
+    kept without a copy and made read-only, the caller's own arrays
+    included; copy them first to keep writing to them. Other input
+    (lists, float32, strided arrays) is converted into new arrays.
     """
 
     features: np.ndarray

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .ingest import (HyperParams, LabeledDataset, _checked_matrix, _store,
 # Duplicate-point floor: radii below 1e-12 of the target spread count as
 # coincident and are clamped so the hypercube volume stays positive.
 _DEGENERACY_SCALE = 1e-12
+
+# Float64 entries per array of one batched density call: 2**15 is 256 KiB.
+_BLOCK = 2 ** 15
 
 
 @dataclass
@@ -39,7 +43,12 @@ class SimilarityDiagnostics:
 
 @dataclass(frozen=True)
 class ClassSimilarityMatrix:
-    """Raw or row-normalized class-to-class density estimates."""
+    """Raw or row-normalized class-to-class density estimates.
+
+    A float64 `values` array is kept without a copy and made read-only,
+    the caller's own array included; copy it first to keep writing to
+    it. Other input is converted into a new array.
+    """
 
     values: np.ndarray
     params: HyperParams
@@ -60,7 +69,12 @@ class ClassSimilarityMatrix:
 
 @dataclass(frozen=True)
 class SymmetricAffinity:
-    """Symmetric class affinity W with entries in [0, 1] and unit diagonal."""
+    """Symmetric class affinity W with entries in [0, 1] and unit diagonal.
+
+    A float64 `values` array is kept without a copy and made read-only,
+    the caller's own array included; copy it first to keep writing to
+    it. Other input is converted into a new array.
+    """
 
     values: np.ndarray
 
@@ -84,29 +98,44 @@ def pair_rng(seed: int, source: int, target: int) -> np.random.Generator:
 
 def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
                    exclude_self: bool) -> tuple[np.ndarray, int]:
-    """Density of `targets` at each query row; returns (densities, degenerate count).
+    """Density of each block's targets at its query rows.
 
-    Each row matches the pure-Python per-query reference in
-    tests/test_similarity.py up to the last bit of pow(): same radii,
-    same epsilon floor, same overflow clamps.
+    queries is (..., m, d) and targets (..., e, d) with the same leading
+    shape; each leading index is one block, scored as if on its own.
+    Returns the (..., m) densities and the count of floored or clamped
+    ones over all blocks. Each row matches the pure-Python per-query
+    reference in tests/test_similarity.py up to the last bit of pow():
+    same radii, same epsilon floor, same overflow clamps.
     """
-    n_targets, dim = targets.shape
-    dist = np.max(np.abs(queries[:, None, :] - targets[None, :, :]), axis=2)
-    usable = np.full(queries.shape[0], n_targets)
+    m, dim = queries.shape[-2:]
+    n_targets = targets.shape[-2]
+    # Chebyshev distance as a running maximum over the coordinates, so no
+    # (..., m, e, d) temporary is made; max and abs are exact.
+    q = np.ascontiguousarray(np.moveaxis(queries, -1, 0))[..., None]
+    t = np.ascontiguousarray(np.moveaxis(targets, -1, 0))[..., None, :]
+    dist = np.abs(q[0] - t[0])
+    step = np.empty_like(dist)
+    for c in range(1, dim):
+        np.abs(np.subtract(q[c], t[c], out=step), out=step)
+        np.maximum(dist, step, out=dist)
+    rows = dist.reshape(-1, n_targets)
+    usable = np.full(rows.shape[0], n_targets)
     if exclude_self:
         # Leave-one-out: drop one coincident target per query; genuine
         # duplicates beyond the first still participate.
-        zero = dist == 0.0
+        zero = rows == 0.0
         hit = np.flatnonzero(zero.any(axis=1))
-        dist[hit, zero[hit].argmax(axis=1)] = np.inf
+        rows[hit, zero[hit].argmax(axis=1)] = np.inf
         usable[hit] -= 1
-    if np.any(usable < k):
-        raise DataError(
-            f"k={k} exceeds usable target count {int(usable.min())}"
-        )
-    radius = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    span = float(np.ptp(targets, axis=0).max()) if n_targets > 1 else 0.0
-    eps = _DEGENERACY_SCALE * max(1.0, span)
+    short = (usable < k).reshape(-1, m).any(axis=1)
+    if short.any():
+        # Name the first failing block, as a loop over the blocks would.
+        first = usable.reshape(-1, m)[short.argmax()]
+        raise DataError(f"k={k} exceeds usable target count {int(first.min())}")
+    rows.partition(k - 1, axis=1)
+    radius = rows[:, k - 1].reshape(queries.shape[:-1])
+    span = np.ptp(targets, axis=-2).max(axis=-1, keepdims=True)
+    eps = _DEGENERACY_SCALE * np.maximum(1.0, span)
     degenerate = radius < eps
     radius = np.where(degenerate, eps, radius)
     # Huge radii overflow the volume to inf, and k / inf is exactly 0; a
@@ -162,25 +191,36 @@ def class_pair_expectation(source: int, target: int, emb: LabeledDataset,
     if not {source, target} <= set(range(emb.n_classes)):
         raise DataError(f"class pair ({source}, {target}) is out of range")
     rows = class_partition(emb)
-    value, degenerate, whole = _pair_expectation(rows[source], rows[target],
-                                                 emb, params, rng)
+    draw = _draw(rows[source], rows[target], params, rng)
+    values, degenerate = _pair_means(emb, params.k, [draw])
     if diagnostics is not None:
         diagnostics.degenerate_densities += degenerate
-        if whole:
+        if draw[0].size < params.M or draw[1].size < params.E:
             diagnostics.replacement_pairs.append((source, target))
-    return value
+    return float(values[0])
 
 
-def _pair_expectation(src_idx: np.ndarray, tgt_idx: np.ndarray,
-                      emb: LabeledDataset, params: HyperParams,
-                      rng: np.random.Generator) -> tuple[float, int, bool]:
+def _draw(src_idx: np.ndarray, tgt_idx: np.ndarray, params: HyperParams,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One pair's query and target row indices, drawn without replacement."""
     m = min(params.M, src_idx.size)
     e = min(params.E, tgt_idx.size)
-    queries = emb.features[rng.choice(src_idx, size=m, replace=False)]
-    targets = emb.features[rng.choice(tgt_idx, size=e, replace=False)]
-    density, degenerate = _batch_density(queries, targets, params.k,
+    return (rng.choice(src_idx, size=m, replace=False),
+            rng.choice(tgt_idx, size=e, replace=False))
+
+
+def _pair_means(emb: LabeledDataset, k: int,
+                draws: list[tuple[np.ndarray, np.ndarray]],
+                ) -> tuple[np.ndarray, int]:
+    """Mean density of each pair's draws, all of one (m, e) shape, with
+    the degenerate-density count over all of them."""
+    queries = np.stack([q for q, _ in draws])
+    targets = np.stack([t for _, t in draws])
+    density, degenerate = _batch_density(emb.features[queries],
+                                         emb.features[targets], k,
                                          exclude_self=True)
-    return float(np.sum(density) / m), degenerate, m < params.M or e < params.E
+    # A sum along each contiguous row keeps the per-pair summation order.
+    return density.sum(axis=1) / queries.shape[1], degenerate
 
 
 def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
@@ -199,27 +239,39 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
              if include_diagonal or i != j]
     rows = class_partition(emb)
 
-    def job(pair: tuple[int, int]) -> tuple[float, int, bool]:
+    def shape(pair: tuple[int, int]) -> tuple[int, int]:
         i, j = pair
-        return _pair_expectation(rows[i], rows[j], emb, params,
-                                 pair_rng(params.seed, i, j))
+        return min(params.M, rows[i].size), min(params.E, rows[j].size)
+
+    # Consecutive pairs of one (m, e) shape share a chunk, scored by one
+    # _batch_density call. _BLOCK caps the float64 entries of its
+    # distances, (P, m, e), and of its gathered rows, (P, m + e, d).
+    chunks = []
+    for (m, e), run in groupby(pairs, key=shape):
+        run = list(run)
+        size = max(1, _BLOCK // max(m * e, (m + e) * emb.n_features))
+        chunks += [run[s:s + size] for s in range(0, len(run), size)]
+
+    def job(chunk: list[tuple[int, int]]) -> tuple[np.ndarray, int]:
+        draws = [_draw(rows[i], rows[j], params, pair_rng(params.seed, i, j))
+                 for i, j in chunk]
+        return _pair_means(emb, params.k, draws)
 
     # The pool starts a thread per submit while none is idle, and map
-    # submits every pair at once, so workers are capped at the CPU count.
+    # submits every chunk at once, so workers are capped at the CPU count.
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, pairs))
+            results = list(pool.map(job, chunks))
     else:
-        results = [job(p) for p in pairs]
+        results = [job(c) for c in chunks]
 
-    diagnostics = SimilarityDiagnostics()
+    diagnostics = SimilarityDiagnostics(replacement_pairs=[
+        p for p in pairs if shape(p) != (params.M, params.E)])
     raw = np.zeros((n, n), dtype=np.float64)
-    for (i, j), (value, degenerate, replaced) in zip(pairs, results):
-        raw[i, j] = value
+    for chunk, (values, degenerate) in zip(chunks, results):
+        raw[tuple(zip(*chunk))] = values
         diagnostics.degenerate_densities += degenerate
-        if replaced:
-            diagnostics.replacement_pairs.append((i, j))
 
     if row_normalize:
         sums = raw.sum(axis=1)

@@ -20,7 +20,12 @@ from .similarity import SymmetricAffinity
 
 @dataclass(frozen=True)
 class Laplacian:
-    """L = D - W. Symmetric, zero row sums, nonpositive off-diagonal."""
+    """L = D - W. Symmetric, zero row sums, nonpositive off-diagonal.
+
+    A float64 `values` array is kept without a copy and made read-only,
+    the caller's own array included; copy it first to keep writing to
+    it. Other input is converted into a new array.
+    """
 
     values: np.ndarray
 
@@ -41,12 +46,19 @@ class Laplacian:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Nondecreasing nonnegative eigenvalues with a zero smallest value."""
+    """Nondecreasing nonnegative eigenvalues with a zero smallest value.
+
+    A 1-D float64 `eigenvalues` array is kept without a copy and made
+    read-only, the caller's own array included; copy it first to keep
+    writing to it. Other input is converted into a new array.
+    """
 
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=np.float64).ravel()
+        vals = np.asarray(self.eigenvalues, dtype=np.float64)
+        if vals.ndim != 1:
+            vals = vals.ravel()
         if vals.size == 0 or not np.isfinite(vals).all():
             raise DataError("spectrum must be non-empty and finite")
         if np.any(np.diff(vals) < 0):

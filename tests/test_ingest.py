@@ -161,6 +161,36 @@ class TestLabeledDataset:
         assert [list(p) for p in parts] == [[0], [1], [2]]
 
 
+class TestArrayOwnership:
+    """The array types keep a float64 input without a copy and freeze it;
+    any other input is converted, and the caller's stays writable."""
+
+    def test_float64_inputs_are_kept_and_frozen(self):
+        from spectral_complexity import Spectrum, SymmetricAffinity
+        X, y = np.zeros((4, 2)), np.array([0, 0, 1, 1])
+        W, lam = np.eye(2), np.array([0.0, 1.0])
+        ds = LabeledDataset(features=X, labels=y)
+        aff = SymmetricAffinity(values=W)
+        spec = Spectrum(eigenvalues=lam)
+        for given, held in [(X, ds.features), (y, ds.labels),
+                            (W, aff.values), (lam, spec.eigenvalues)]:
+            assert np.shares_memory(given, held)
+            with pytest.raises(ValueError, match="read-only"):
+                given[0] = 1
+
+    @pytest.mark.parametrize("convert", [
+        lambda a: a.tolist(), lambda a: a.astype(np.float32)])
+    def test_other_inputs_are_copied(self, convert):
+        from spectral_complexity import SymmetricAffinity
+        X, W = convert(np.zeros((4, 2))), convert(np.eye(2))
+        ds = LabeledDataset(features=X, labels=[0, 0, 1, 1])
+        aff = SymmetricAffinity(values=W)
+        X[0][0] = W[0][1] = 0.5
+        assert ds.features[0, 0] == 0.0 and aff.values[0, 1] == 0.0
+        assert not ds.features.flags.writeable
+        assert not aff.values.flags.writeable
+
+
 class TestHyperParams:
     def test_defaults(self):
         p = HyperParams()

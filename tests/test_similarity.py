@@ -391,3 +391,208 @@ def test_affinity_bounds_property(seed, n):
     # cmsauls is defined for every valid affinity this produces
     s = spectrum(build_laplacian(W))
     assert cmsauls(s) >= 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 40])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_stacked_batch_equals_per_block_calls(dim, exclude):
+    rng = np.random.default_rng(30 + dim)
+    queries = rng.standard_normal((5, 7, dim))
+    targets = rng.standard_normal((5, 9, dim))
+    queries[1, :3] = targets[1, 4]  # coincident points in one block only
+    # A collapsed block: radii floored, and in d=40 volumes clamped.
+    queries[3, :2] = targets[3] = 0.0
+    density, degenerate = _batch_density(queries, targets, 3, exclude)
+    blocks = [_batch_density(q, t, 3, exclude) for q, t in zip(queries, targets)]
+    assert density.shape == (5, 7)
+    assert np.array_equal(density, np.stack([d for d, _ in blocks]))
+    assert degenerate == sum(n for _, n in blocks) > 0
+
+
+# The per-pair stage that build_similarity_matrix batched: one (m, e, d)
+# broadcast and one density call per class pair, in pair order.
+def reference_block_density(queries, targets, k, exclude_self):
+    n_targets, dim = targets.shape
+    dist = np.max(np.abs(queries[:, None, :] - targets[None, :, :]), axis=2)
+    usable = np.full(queries.shape[0], n_targets)
+    if exclude_self:
+        zero = dist == 0.0
+        hit = np.flatnonzero(zero.any(axis=1))
+        dist[hit, zero[hit].argmax(axis=1)] = np.inf
+        usable[hit] -= 1
+    if np.any(usable < k):
+        raise DataError(
+            f"k={k} exceeds usable target count {int(usable.min())}"
+        )
+    radius = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    span = float(np.ptp(targets, axis=0).max()) if n_targets > 1 else 0.0
+    eps = 1e-12 * max(1.0, span)
+    degenerate = radius < eps
+    radius = np.where(degenerate, eps, radius)
+    with np.errstate(over="ignore"):
+        denom = n_targets * (2.0 * radius) ** dim
+    with np.errstate(divide="ignore"):
+        density = k / denom
+    overflow = denom == 0.0
+    density[overflow] = np.finfo(np.float64).max
+    return density, int((degenerate | overflow).sum())
+
+
+def reference_similarity(emb, params, row_normalize=True,
+                         include_diagonal=True):
+    from spectral_complexity import class_partition
+    n = emb.n_classes
+    rows = class_partition(emb)
+    diagnostics = SimilarityDiagnostics()
+    raw = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(n):
+            if i == j and not include_diagonal:
+                continue
+            rng = pair_rng(params.seed, i, j)
+            m = min(params.M, rows[i].size)
+            e = min(params.E, rows[j].size)
+            queries = emb.features[rng.choice(rows[i], size=m, replace=False)]
+            targets = emb.features[rng.choice(rows[j], size=e, replace=False)]
+            density, degenerate = reference_block_density(queries, targets,
+                                                          params.k, True)
+            raw[i, j] = float(np.sum(density) / m)
+            diagnostics.degenerate_densities += degenerate
+            if m < params.M or e < params.E:
+                diagnostics.replacement_pairs.append((i, j))
+    if row_normalize:
+        sums = raw.sum(axis=1)
+        diagnostics.zero_mass_rows.extend(
+            int(r) for r in np.flatnonzero(sums == 0.0))
+        raw = raw / np.where(sums == 0.0, 1.0, sums)[:, None]
+    return raw, diagnostics
+
+
+def mixed_classes(dim, seed=0):
+    """Classes of unequal size, some below M=20 or E=25, points shared
+    across classes, and a class of coincident points twice over, whose
+    radii are floored. In d=40 a wide last class overflows every volume
+    that reaches it, so its row of densities is 0."""
+    from spectral_complexity import LabeledDataset
+    rng = np.random.default_rng([seed, dim])
+    sizes = [4, 50, 12, 30, 6, 40]
+    blocks = [rng.normal(2.0 * c, 1.0, (s, dim)) for c, s in enumerate(sizes)]
+    blocks[3][:5] = blocks[1][:5]
+    # One far point widens the span, so the floor keeps volumes above 0.
+    collapsed = np.zeros((10, dim))
+    collapsed[-1] = 1e5
+    blocks += [collapsed, collapsed]
+    if dim == 40:
+        blocks.append(rng.normal(0.0, 1e9, (30, dim)))
+    labels = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
+    return LabeledDataset(features=np.vstack(blocks), labels=labels)
+
+
+class TestBatchedAgainstPerPairLoop:
+    @pytest.mark.parametrize("dim", [1, 3, 8, 40])
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("row_normalize, include_diagonal, threads",
+                             [(True, True, 1), (False, False, 2)])
+    def test_bit_identical(self, monkeypatch, dim, block, row_normalize,
+                           include_diagonal, threads):
+        from spectral_complexity import similarity
+        if block is not None:
+            monkeypatch.setattr(similarity, "_BLOCK", block)
+        emb = mixed_classes(dim)
+        params = HyperParams(M=20, E=25, k=3, seed=dim)
+        X = build_similarity_matrix(emb, params, row_normalize=row_normalize,
+                                    include_diagonal=include_diagonal,
+                                    threads=threads)
+        raw, diag = reference_similarity(emb, params, row_normalize,
+                                         include_diagonal)
+        assert np.array_equal(X.values, raw)
+        assert (X.diagnostics.degenerate_densities
+                == diag.degenerate_densities > 0)
+        assert X.diagnostics.replacement_pairs == diag.replacement_pairs
+        assert X.diagnostics.zero_mass_rows == diag.zero_mass_rows
+        if dim == 40:
+            assert np.array_equal(raw[-1], np.zeros(raw.shape[0]))
+
+    def test_rows_longer_than_one_summation_block(self):
+        # m=200 queries exceed numpy's 128-element pairwise-sum block.
+        ds = make_blobs([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+                        per_class=260, seed=4)
+        params = HyperParams(M=200, E=200, k=3, seed=4)
+        X = build_similarity_matrix(ds, params)
+        raw, _ = reference_similarity(ds, params)
+        assert np.array_equal(X.values, raw)
+
+    @pytest.mark.parametrize("block", [1, None])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sizes, include_diagonal, shared", [
+        # (0, 0) fails with 2 usable targets, then (0, 2) with 1.
+        ([5, 2, 1], True, False),
+        # (0, 1) and (0, 2) share one chunk; (0, 2) fails with 1 usable
+        # target because its class repeats a point of class 0.
+        ([3, 2, 2], False, True),
+    ])
+    def test_error_names_first_failing_pair(self, monkeypatch, block,
+                                            threads, sizes,
+                                            include_diagonal, shared):
+        from spectral_complexity import LabeledDataset, similarity
+        if block is not None:
+            monkeypatch.setattr(similarity, "_BLOCK", block)
+        feats = np.arange(float(sum(sizes)))[:, None]
+        if shared:
+            feats[-1] = feats[0]
+        ds = LabeledDataset(features=feats,
+                            labels=np.repeat(np.arange(3), sizes))
+        params = HyperParams(M=3, E=3, k=3, seed=0)
+        with pytest.raises(DataError) as ref:
+            reference_similarity(ds, params,
+                                 include_diagonal=include_diagonal)
+        with pytest.raises(DataError) as got:
+            build_similarity_matrix(ds, params, threads=threads,
+                                    include_diagonal=include_diagonal)
+        assert str(got.value) == str(ref.value)
+        assert str(ref.value) == "k=3 exceeds usable target count 2"
+
+
+@pytest.mark.parametrize("classes, rows, dim, M, E", [
+    # 6400 pairs: one chunk holding them all would need 78 MiB for its
+    # distances alone.
+    (80, 40, 8, 40, 40),
+    # Tiny blocks of 512-column rows: here the gathered rows, not the
+    # distances, would fill a chunk sized by distance entries alone.
+    (30, 4, 512, 2, 3),
+])
+def test_stage_memory_stays_within_a_few_blocks(classes, rows, dim, M, E):
+    import tracemalloc
+    from spectral_complexity import LabeledDataset
+    from spectral_complexity.similarity import _BLOCK
+    rng = np.random.default_rng(1)
+    ds = LabeledDataset(features=rng.standard_normal((classes * rows, dim)),
+                        labels=np.repeat(np.arange(classes), rows))
+    params = HyperParams(M=M, E=E, k=2, seed=1)
+    tracemalloc.start()
+    try:
+        build_similarity_matrix(ds, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _BLOCK * 8 == 4 * 2 ** 20
+
+
+def test_similarity_module_loads_no_scipy():
+    # The package root still imports the scipy-using modules, so the
+    # stage is imported under a bare package that skips __init__.py.
+    import subprocess
+    import sys
+    from pathlib import Path
+    import spectral_complexity
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('spectral_complexity')\n"
+        f"pkg.__path__ = [{str(Path(spectral_complexity.__file__).parent)!r}]\n"
+        "sys.modules['spectral_complexity'] = pkg\n"
+        "import spectral_complexity.similarity\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
