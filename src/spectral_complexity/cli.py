@@ -22,8 +22,8 @@ from .errors import DataError, NumericError, SpectralComplexityError
 from .ingest import HyperParams, ReductionSpec, load_dataset
 from .reduce import apply_reduction
 from .report import (benchmark_svg, build_benchmark_report, build_report,
-                     emit_report, header, matrix_from_report, mds_svg,
-                     parse_report, spectrum_svg, write_text)
+                     dataset_block, emit_report, header, matrix_from_report,
+                     mds_svg, parse_report, spectrum_svg, write_text)
 from .similarity import bray_curtis_symmetrize, build_similarity_matrix
 from .spectral import METRICS, build_laplacian, compute_scores, spectrum
 
@@ -68,6 +68,15 @@ def _parse_separations(text: str) -> tuple[float, ...]:
     return values
 
 
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True,
+                   help="CSV file, or .bin matrix with a JSON sidecar")
+    p.add_argument("--label-col", default="label",
+                   help="label column name (CSV input)")
+    p.add_argument("--reduce", default="passthrough",
+                   help="passthrough | pca:<d> | pca:rate=<r>")
+
+
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--M", type=int, default=100,
                    help="Monte-Carlo queries per source class")
@@ -96,14 +105,10 @@ def run_complexity(args) -> int:
     spec = spectrum(L)
     scores = compute_scores(spec)
     descriptors = compute_descriptors(emb) if args.descriptors else None
-    # Raw float32 inputs are externally embedded features (the reduction
-    # happened upstream), which the report records explicitly.
-    external = args.input.endswith(".bin") and params.reduction.mode == "passthrough"
     report = build_report(
         dataset_path=args.input, ds=ds, emb=emb, params=params, X=X, W=W,
         L=L if args.store_laplacian else None, spec=spec, scores=scores,
-        metrics=metrics, descriptors=descriptors,
-        reduction_label="external" if external else None, threads=threads,
+        metrics=metrics, descriptors=descriptors, threads=threads,
     )
     if args.out:
         emit_report(report, args.out)
@@ -148,12 +153,13 @@ def run_mds(args) -> int:
     W = matrix_from_report(rep, "W")
     U = 1.0 - W
     chart = analysis.classical_mds(U)
+    n = W.shape[0]
     try:
-        labels = list(rep["dataset"]["class_names"])
+        labels = rep["dataset"]["class_names"]
     except (KeyError, TypeError):
-        labels = [str(i) for i in range(W.shape[0])]
-    if len(labels) != W.shape[0]:
-        labels = [str(i) for i in range(W.shape[0])]
+        labels = None
+    if not isinstance(labels, list) or len(labels) != n:
+        labels = [str(i) for i in range(n)]
     if args.svg:
         write_text(mds_svg(chart, labels), args.svg)
     if args.out:
@@ -176,13 +182,7 @@ def run_descriptors(args) -> int:
     if args.out:
         emit_report({
             **header(),
-            "dataset": {
-                "path": args.input,
-                "samples": ds.n_samples,
-                "raw_dim": ds.n_features,
-                "embedded_dim": emb.n_features,
-                "classes": ds.n_classes,
-            },
+            "dataset": dataset_block(args.input, ds, emb),
             "descriptors": values,
         }, args.out)
     for name in DESCRIPTORS:
@@ -202,12 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", formatter_class=fmt,
                        help="score one dataset file")
-    p.add_argument("--input", required=True,
-                   help="CSV file, or .bin matrix with a JSON sidecar")
-    p.add_argument("--label-col", default="label",
-                   help="label column name (CSV input)")
-    p.add_argument("--reduce", default="passthrough",
-                   help="passthrough | pca:<d> | pca:rate=<r>")
+    _add_input_flags(p)
     _add_sampling_flags(p)
     p.add_argument("--metric", default=",".join(METRICS),
                    help="comma list of scores to emit")
@@ -253,9 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descriptors", formatter_class=fmt,
                        help="classical complexity baselines only")
-    p.add_argument("--input", required=True)
-    p.add_argument("--label-col", default="label")
-    p.add_argument("--reduce", default="passthrough")
+    _add_input_flags(p)
     p.add_argument("--out", default=None, help="descriptor JSON path")
     p.set_defaults(func=run_descriptors)
     return parser

@@ -10,7 +10,6 @@ here is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -81,27 +80,23 @@ def f1(emb: LabeledDataset) -> float:
     return float(ratios.max())
 
 
-def _pair_intervals(A: np.ndarray, B: np.ndarray):
-    lo = np.maximum(A.min(axis=0), B.min(axis=0))
-    hi = np.minimum(A.max(axis=0), B.max(axis=0))
-    joint_lo = np.minimum(A.min(axis=0), B.min(axis=0))
-    joint_hi = np.maximum(A.max(axis=0), B.max(axis=0))
-    return lo, hi, joint_lo, joint_hi
+def _class_ranges(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class feature minima and maxima, each (n_classes, d)."""
+    return (np.array([blk.min(axis=0) for blk in blocks]),
+            np.array([blk.max(axis=0) for blk in blocks]))
 
 
 def f2(emb: LabeledDataset) -> float:
     """Volume of the per-pair feature-range overlap, averaged over pairs."""
-    blocks = _class_blocks(emb)
-    vals = []
-    for a, b in combinations(range(len(blocks)), 2):
-        lo, hi, joint_lo, joint_hi = _pair_intervals(blocks[a], blocks[b])
-        width = np.clip(hi - lo, 0.0, None)
-        joint = joint_hi - joint_lo
-        # Zero joint width means every value of both classes coincides.
-        safe = np.where(joint > 0, joint, 1.0)
-        ratio = np.where(joint > 0, width / safe, 1.0)
-        vals.append(float(np.prod(ratio)))
-    return float(np.mean(vals))
+    lo, hi = _class_ranges(_class_blocks(emb))
+    a, b = np.triu_indices(lo.shape[0], k=1)  # pairs in combinations order
+    width = np.clip(np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]),
+                    0.0, None)
+    joint = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
+    # Zero joint width means every value of both classes coincides.
+    safe = np.where(joint > 0, joint, 1.0)
+    ratio = np.where(joint > 0, width / safe, 1.0)
+    return float(np.mean(np.prod(ratio, axis=1)))
 
 
 def f3(emb: LabeledDataset) -> float:
@@ -112,11 +107,12 @@ def f3(emb: LabeledDataset) -> float:
     average over pairs.
     """
     blocks = _class_blocks(emb)
+    lo, hi = _class_ranges(blocks)
     vals = []
-    for a, b in combinations(range(len(blocks)), 2):
-        lo, hi, _, _ = _pair_intervals(blocks[a], blocks[b])
+    for a, b in zip(*np.triu_indices(len(blocks), k=1)):
         pts = np.vstack([blocks[a], blocks[b]])
-        outside = (pts < lo) | (pts > hi)
+        outside = ((pts < np.maximum(lo[a], lo[b]))
+                   | (pts > np.minimum(hi[a], hi[b])))
         vals.append(float(outside.mean(axis=0).max()))
     return float(np.mean(vals))
 

@@ -95,7 +95,7 @@ def serialize(payload: dict) -> str:
 
 def write_text(text: str, path: str) -> None:
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
@@ -130,52 +130,52 @@ def matrix_from_report(rep: dict, name: str) -> np.ndarray:
     return values
 
 
+def dataset_block(path: str, ds: LabeledDataset, emb: LabeledDataset) -> dict:
+    """The `dataset` keys shared by the complexity and descriptors reports."""
+    return {"path": path, "samples": ds.n_samples, "raw_dim": ds.n_features,
+            "embedded_dim": emb.n_features, "classes": ds.n_classes}
+
+
 def build_report(*, dataset_path: str, ds: LabeledDataset, emb: LabeledDataset,
                  params: HyperParams, X: ClassSimilarityMatrix,
                  W: SymmetricAffinity, L: Laplacian | None,
                  spec: Spectrum, scores: ComplexityScores,
                  metrics: tuple[str, ...] = METRICS,
                  descriptors: DescriptorReport | None = None,
-                 reduction_label: str | None = None,
                  threads: int = 1, created: str | None = None,
                  ) -> dict:
     """Assemble the full run report from the pipeline stages.
 
     emb is the output of apply_reduction, whose meta fills the
-    reduction block; reduction_label, when given, overrides its method.
+    reduction block. A .bin input kept as it is holds features embedded
+    by another tool, so both params.reduction and reduction.method
+    record it as "external".
     """
     if emb.meta is None:
         raise DataError("emb has no reduction meta; pass apply_reduction's result")
-    dataset_meta = {
-        "path": dataset_path,
-        "samples": ds.n_samples,
-        "raw_dim": ds.n_features,
-        "embedded_dim": emb.n_features,
-        "classes": ds.n_classes,
-        "class_names": list(ds.class_names),
-    }
+    reduction = asdict(emb.meta)
+    label = params.reduction.describe()
+    if dataset_path.endswith(".bin") and params.reduction.mode == "passthrough":
+        label = reduction["method"] = "external"
     params_dict = {
         "M": params.M,
         "E": params.E,
         "k": params.k,
         "seed": params.seed,
-        "reduction": (reduction_label if reduction_label is not None
-                      else params.reduction.describe()),
+        "reduction": label,
         "row_normalize": X.row_normalized,
         "include_diagonal": X.includes_diagonal,
         "threads": threads,
         "metrics": list(metrics),
     }
-    reduction = asdict(emb.meta)
-    if reduction_label is not None:
-        reduction["method"] = reduction_label
     matrices = {"X": X.values.tolist(), "W": W.values.tolist()}
     if L is not None:
         matrices["L"] = L.values.tolist()
     diagnostics = {**asdict(X.diagnostics), "definitions": dict(DEFINITIONS)}
     return {
         **header(created),
-        "dataset": dataset_meta,
+        "dataset": {**dataset_block(dataset_path, ds, emb),
+                    "class_names": list(ds.class_names)},
         "params": params_dict,
         "reduction": reduction,
         "matrices": matrices,

@@ -125,12 +125,17 @@ def spectrum(L: Laplacian) -> Spectrum:
     return Spectrum(eigenvalues=np.clip(vals, 0.0, None))
 
 
+def _eigenvalues(s: Spectrum) -> np.ndarray:
+    """s's eigenvalues; every score needs at least two."""
+    if s.n < 2:
+        raise DataError(f"need at least 2 eigenvalues, got {s.n}")
+    return s.eigenvalues
+
+
 def scaled_area_increments(s: Spectrum) -> np.ndarray:
     """Increments (lam[i+1]^2 - lam[i]^2) / (2 (n - i)) for i = 0..n-2."""
-    lam = s.eigenvalues
-    n = s.n
-    if n < 2:
-        raise DataError(f"need at least 2 eigenvalues, got {n}")
+    lam = _eigenvalues(s)
+    n = lam.size
     denom = 2.0 * (n - np.arange(n - 1))
     return (lam[1:] ** 2 - lam[:-1] ** 2) / denom
 
@@ -142,19 +147,15 @@ def cmsauls(s: Spectrum) -> float:
 
 def csg(s: Spectrum) -> float:
     """Cumulative-maximum sum of plain eigenvalue gradients (baseline)."""
-    lam = s.eigenvalues
-    n = s.n
-    if n < 2:
-        raise DataError(f"need at least 2 eigenvalues, got {n}")
+    lam = _eigenvalues(s)
+    n = lam.size
     grad = (lam[1:] - lam[:-1]) / (n - np.arange(n - 1))
     return float(np.maximum.accumulate(grad).sum())
 
 
 def auls(s: Spectrum) -> float:
     """Trapezoidal area under the sorted eigenvalue curve (baseline)."""
-    lam = s.eigenvalues
-    if s.n < 2:
-        raise DataError(f"need at least 2 eigenvalues, got {s.n}")
+    lam = _eigenvalues(s)
     return float(((lam[:-1] + lam[1:]) / 2.0).sum())
 
 

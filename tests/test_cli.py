@@ -189,6 +189,13 @@ class TestHelp:
         assert res.returncode == 0
         assert "usage" in res.stdout.lower()
 
+    def test_descriptors_input_flags_have_help(self):
+        res = run_cli("descriptors", "--help")
+        assert res.returncode == 0
+        for text in ("CSV file, or .bin matrix", "label column name",
+                     "passthrough | pca:<d>"):
+            assert text in res.stdout
+
     def test_no_subcommand_exits_2(self):
         res = run_cli()
         assert res.returncode == 2
@@ -212,6 +219,36 @@ class TestMdsCommand:
         payload = json.loads(coords.read_text())
         assert len(payload["coordinates"]) == 3
         assert payload["labels"] == ["c0", "c1", "c2"]
+
+    @pytest.mark.parametrize("names", ["ab", {"x": "a", "y": "b"},
+                                       ["a", "b", "c"]])
+    def test_labels_fall_back_to_indices(self, tmp_path, names):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({
+            "dataset": {"class_names": names},
+            "matrices": {"W": [[1.0, 0.5], [0.5, 1.0]]},
+        }))
+        coords = tmp_path / "coords.json"
+        res = run_cli("mds", "--from-report", str(report),
+                      "--out", str(coords))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(coords.read_text())["labels"] == ["0", "1"]
+
+    def test_svg_written_as_utf8_under_c_locale(self, tmp_path):
+        data = tmp_path / "cafe.csv"
+        data.write_text("x,label\n0.0,café\n0.5,café\n1.0,café\n"
+                        "5.0,tea\n5.5,tea\n6.0,tea\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        svg = tmp_path / "map.svg"
+        env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        res = run_cli("complexity", "--input", str(data), "--M", "3",
+                      "--E", "3", "--k", "1", "--out", str(report),
+                      env_extra=env)
+        assert res.returncode == 0, res.stderr
+        res = run_cli("mds", "--from-report", str(report), "--svg", str(svg),
+                      env_extra=env)
+        assert res.returncode == 0, res.stderr
+        assert "café" in svg.read_bytes().decode("utf-8")
 
     def test_missing_report_exits_2(self, tmp_path):
         res = run_cli("mds", "--from-report", str(tmp_path / "nope.json"))

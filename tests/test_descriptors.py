@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -76,6 +77,53 @@ class TestRangeOverlap:
         emb = embed_1d([3.0, 3.0], [0, 1])
         assert f2(emb) == 1.0
         assert f3(emb) == 0.0
+
+
+def reference_f2_f3(emb):
+    """The pair loop that f2 and f3 replaced: both classes' ranges are
+    recomputed for every pair, and f2 takes one product per pair."""
+    blocks = [emb.features[emb.labels == c] for c in np.unique(emb.labels)]
+    vals2, vals3 = [], []
+    for a, b in combinations(range(len(blocks)), 2):
+        A, B = blocks[a], blocks[b]
+        lo = np.maximum(A.min(axis=0), B.min(axis=0))
+        hi = np.minimum(A.max(axis=0), B.max(axis=0))
+        joint = (np.maximum(A.max(axis=0), B.max(axis=0))
+                 - np.minimum(A.min(axis=0), B.min(axis=0)))
+        width = np.clip(hi - lo, 0.0, None)
+        safe = np.where(joint > 0, joint, 1.0)
+        vals2.append(float(np.prod(np.where(joint > 0, width / safe, 1.0))))
+        pts = np.vstack([A, B])
+        vals3.append(float(((pts < lo) | (pts > hi)).mean(axis=0).max()))
+    return float(np.mean(vals2)), float(np.mean(vals3))
+
+
+def range_fixture(kind, seed):
+    rng = np.random.default_rng(seed)
+    n_classes = 30 if kind == "many" else int(rng.integers(2, 8))
+    n = int(rng.integers(n_classes + 2, 4 * n_classes + 20))
+    d = int(rng.integers(1, 20))
+    labels = rng.permutation(np.arange(n) % n_classes)
+    X = np.round(rng.standard_normal((n, d)), 1)  # rounded, so ties abound
+    if kind == "constant":
+        X[:, rng.integers(0, d, size=max(1, d // 2))] = 2.5
+    if kind == "coincident":
+        # Class 1 is a copy of class 0, row for row where it can be.
+        copies = int((labels == 1).sum())
+        X[labels == 1] = np.resize(X[labels == 0], (copies, d))
+    if kind == "singleton":
+        labels = np.r_[np.arange(n - 2) % n_classes, n_classes, n_classes + 1]
+    if kind == "scaled":
+        X *= 1e150
+    return embed_2d(X, labels)
+
+
+@pytest.mark.parametrize("kind", ["ties", "constant", "coincident",
+                                  "singleton", "many", "scaled"])
+def test_f2_f3_match_pair_loop_reference(kind):
+    for seed in range(50):
+        emb = range_fixture(kind, seed)
+        assert (f2(emb), f3(emb)) == reference_f2_f3(emb)
 
 
 class TestNeighbourMeasures:

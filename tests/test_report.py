@@ -6,9 +6,10 @@ import pytest
 
 from spectral_complexity import (BenchmarkResult, CorrelationResult,
                                  DataError, HyperParams, InterClassMap,
-                                 NumericError, apply_reduction, benchmark_svg,
-                                 bray_curtis_symmetrize, build_laplacian,
-                                 build_report, build_similarity_matrix,
+                                 NumericError, ReductionSpec, apply_reduction,
+                                 benchmark_svg, bray_curtis_symmetrize,
+                                 build_laplacian, build_report,
+                                 build_similarity_matrix,
                                  compute_descriptors, compute_scores,
                                  emit_report, load_csv, matrix_from_report,
                                  mds_svg, parse_report, serialize, spectrum)
@@ -150,6 +151,24 @@ class TestReportRoundTrip:
             build_report(dataset_path=str(blob_csv), ds=ds, emb=ds,
                          params=params, X=X, W=W, L=None, spec=spec,
                          scores=compute_scores(spec))
+
+    @pytest.mark.parametrize("path, reduce, recorded", [
+        ("data.bin", "passthrough", ("external", "external")),
+        ("data.bin", "pca:2", ("pca:2", "pca")),
+        ("data.csv", "passthrough", ("passthrough", "passthrough")),
+    ])
+    def test_reduction_provenance(self, blob_csv, path, reduce, recorded):
+        ds = load_csv(str(blob_csv))
+        params = HyperParams(M=5, E=5, reduction=ReductionSpec.parse(reduce))
+        emb = apply_reduction(ds, params)
+        X = build_similarity_matrix(emb, params)
+        W = bray_curtis_symmetrize(X)
+        spec = spectrum(build_laplacian(W))
+        rep = build_report(dataset_path=path, ds=ds, emb=emb, params=params,
+                           X=X, W=W, L=None, spec=spec,
+                           scores=compute_scores(spec))
+        assert (rep["params"]["reduction"], rep["reduction"]["method"]) \
+            == recorded
 
     def test_inf_strings_map_back_to_floats(self):
         rep = {"matrices": {"Z": [[0.0, "inf"], ["-inf", 1.0]]}}
