@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .ingest import LabeledDataset, class_partition
 
 _BLOCK = 1 << 20  # distance entries per cdist block of the n2/n3 pass
@@ -53,6 +53,10 @@ DESCRIPTORS = tuple(f.name for f in fields(DescriptorReport)
                     if f.name != "n2_skipped")
 
 
+def _too_large() -> NumericError:
+    return NumericError("feature values too large for the descriptors")
+
+
 def _class_blocks(emb: LabeledDataset) -> list[np.ndarray]:
     return [emb.features[idx] for idx in class_partition(emb)]
 
@@ -63,16 +67,19 @@ def f1(emb: LabeledDataset) -> float:
     Per feature: between-class variance (class-count weighted squared
     mean offsets) over pooled within-class variance. Zero within-class
     variance with separated means gives +inf; fully degenerate features
-    contribute 0.
+    contribute 0. Means or squares that overflow raise NumericError.
     """
     X = emb.features
-    overall = X.mean(axis=0)
-    between = np.zeros(X.shape[1])
-    within = np.zeros(X.shape[1])
-    for block in _class_blocks(emb):
-        mu = block.mean(axis=0)
-        between += block.shape[0] * (mu - overall) ** 2
-        within += ((block - mu) ** 2).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overall = X.mean(axis=0)
+        between = np.zeros(X.shape[1])
+        within = np.zeros(X.shape[1])
+        for block in _class_blocks(emb):
+            mu = block.mean(axis=0)
+            between += block.shape[0] * (mu - overall) ** 2
+            within += ((block - mu) ** 2).sum(axis=0)
+    if not (np.isfinite(between).all() and np.isfinite(within).all()):
+        raise _too_large()
     ratios = np.zeros(X.shape[1])
     pos = within > 0
     ratios[pos] = between[pos] / within[pos]
@@ -87,12 +94,18 @@ def _class_ranges(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def f2(emb: LabeledDataset) -> float:
-    """Volume of the per-pair feature-range overlap, averaged over pairs."""
+    """Volume of the per-pair feature-range overlap, averaged over pairs.
+
+    A joint feature range that overflows raises NumericError.
+    """
     lo, hi = _class_ranges(_class_blocks(emb))
     a, b = np.triu_indices(lo.shape[0], k=1)  # pairs in combinations order
-    width = np.clip(np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]),
-                    0.0, None)
-    joint = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
+    with np.errstate(over="ignore"):
+        width = np.clip(np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]),
+                        0.0, None)
+        joint = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
+    if not np.isfinite(joint).all():
+        raise _too_large()
     # Zero joint width means every value of both classes coincides.
     safe = np.where(joint > 0, joint, 1.0)
     ratio = np.where(joint > 0, width / safe, 1.0)
@@ -122,29 +135,40 @@ def _mst_edges(X: np.ndarray) -> list[tuple[int, int]]:
 
     Edges compare by (length, i, j). That strict order makes the tree
     unique, so it is the tree Kruskal builds when it breaks length ties
-    by the smaller (i, j) index pair.
+    by the smaller (i, j) index pair. An edge length that overflows raises
+    NumericError.
     """
-    v = 0
-    rest = np.arange(1, X.shape[0])
-    # Per outside point: length of, and tree end of, its best edge.
-    length = np.full(rest.size, np.inf)
-    near = np.zeros(rest.size, dtype=np.intp)
+    # Slots [0, k) hold the points outside the tree: coordinates, original
+    # index, and the length and tree end of each one's best edge. A point
+    # that joins the tree swaps places with the last live slot.
+    P = np.array(X[1:], dtype=np.float64, order="C")
+    index = np.arange(1, X.shape[0])
+    length = np.full(index.size, np.inf)
+    near = np.zeros(index.size, dtype=np.intp)
     edges: list[tuple[int, int]] = []
-    while rest.size:
-        row = cdist(X[v:v + 1], X[rest])[0]
-        # Both edges end at the outside point, so their order on a tie is
-        # the order of their tree ends.
-        better = (row < length) | ((row == length) & (v < near))
-        length[better] = row[better]
-        near[better] = v
-        tied = np.flatnonzero(length == length.min())
-        lo = np.minimum(near[tied], rest[tied])
-        hi = np.maximum(near[tied], rest[tied])
-        first = np.lexsort((hi, lo))[0]
-        edges.append((int(lo[first]), int(hi[first])))
-        v = rest[tied[first]]
-        keep = rest != v
-        rest, length, near = rest[keep], length[keep], near[keep]
+    v = 0
+    for k in range(index.size, 0, -1):
+        row = cdist(X[v:v + 1], P[:k])[0]
+        L, T, last = length[:k], near[:k], k - 1
+        better = row < L
+        tie = row == L
+        if tie.any():
+            # Both edges end at the outside point, so their order on a tie
+            # is the order of their tree ends.
+            better |= tie & (v < T)
+        np.putmask(T, better, v)
+        np.minimum(L, row, out=L)
+        j = int(L.argmin())
+        if L[j] == np.inf:  # cdist overflowed
+            raise _too_large()
+        if last - int(L[::-1].argmin()) != j:  # another point ties with j
+            tied = np.flatnonzero(L == L[j])
+            lo = np.minimum(T[tied], index[tied])
+            hi = np.maximum(T[tied], index[tied])
+            j = int(tied[np.lexsort((hi, lo))[0]])
+        v, end = int(index[j]), int(T[j])
+        edges.append((min(v, end), max(v, end)))
+        P[j], index[j], L[j], T[j] = P[last], index[last], L[last], T[last]
     return sorted(edges)
 
 
@@ -159,9 +183,12 @@ def n1(emb: LabeledDataset) -> float:
 def _neighbours(emb: LabeledDataset) -> tuple[np.ndarray, ...]:
     """Per point: nearest same-class distance (+inf for a singleton class),
     nearest other-class distance and nearest point (lowest index on ties),
-    computed from `cdist` blocks of about _BLOCK entries.
+    computed from `cdist` blocks of about _BLOCK entries. A nearest
+    distance that overflows raises NumericError.
     """
-    X, labels, n = emb.features, emb.labels, emb.n_samples
+    X, n = emb.features, emb.n_samples
+    # Labels in the smallest integer type build the class masks fastest.
+    labels = emb.labels.astype(np.min_scalar_type(emb.n_classes - 1))
     intra, extra, nearest = np.empty(n), np.empty(n), np.empty(n, np.intp)
     step = max(1, _BLOCK // n)
     for lo in range(0, n, step):
@@ -172,16 +199,13 @@ def _neighbours(emb: LabeledDataset) -> tuple[np.ndarray, ...]:
         intra[rows] = np.where(same, D, np.inf).min(axis=1)
         extra[rows] = np.where(same, np.inf, D).min(axis=1)
         nearest[rows] = D.argmin(axis=1)
+    paired = np.bincount(emb.labels)[emb.labels] > 1
+    if np.isinf(extra).any() or np.isinf(intra[paired]).any():
+        raise _too_large()
     return intra, extra, nearest
 
 
-def n2(emb: LabeledDataset) -> tuple[float, int]:
-    """Mean intra-class over mean extra-class nearest-neighbour distance.
-
-    Returns (value, skipped) where skipped counts singleton-class points
-    excluded from both means.
-    """
-    intra, extra, _ = _neighbours(emb)
+def _n2_value(intra: np.ndarray, extra: np.ndarray) -> tuple[float, int]:
     valid = np.isfinite(intra)
     skipped = int((~valid).sum())
     if not valid.any():
@@ -193,9 +217,22 @@ def n2(emb: LabeledDataset) -> tuple[float, int]:
     return num / den, skipped
 
 
+def n2(emb: LabeledDataset) -> tuple[float, int]:
+    """Mean intra-class over mean extra-class nearest-neighbour distance.
+
+    Returns (value, skipped) where skipped counts singleton-class points
+    excluded from both means.
+    """
+    return _n2_value(*_neighbours(emb)[:2])
+
+
+def _n3_value(labels: np.ndarray, nearest: np.ndarray) -> float:
+    return float(np.mean(labels[nearest] != labels))
+
+
 def n3(emb: LabeledDataset) -> float:
     """Leave-one-out 1-nearest-neighbour error rate (lowest index wins ties)."""
-    return float(np.mean(emb.labels[_neighbours(emb)[2]] != emb.labels))
+    return _n3_value(emb.labels, _neighbours(emb)[2])
 
 
 def t2(emb: LabeledDataset) -> float:
@@ -204,9 +241,11 @@ def t2(emb: LabeledDataset) -> float:
 
 
 def compute_descriptors(emb: LabeledDataset) -> DescriptorReport:
-    n2_value, skipped = n2(emb)
+    """All descriptors; n2 and n3 share one neighbour pass."""
+    intra, extra, nearest = _neighbours(emb)
+    n2_value, skipped = _n2_value(intra, extra)
     return DescriptorReport(
         f1=f1(emb), f2=f2(emb), f3=f3(emb),
-        n1=n1(emb), n2=n2_value, n3=n3(emb),
+        n1=n1(emb), n2=n2_value, n3=_n3_value(emb.labels, nearest),
         t2=t2(emb), n2_skipped=skipped,
     )

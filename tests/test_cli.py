@@ -1,8 +1,10 @@
+import csv
 import json
 import subprocess
 import sys
 import warnings
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,6 +488,32 @@ def test_pca_variance_overflow_exits_3_without_warnings(tmp_path, capsys):
     assert code == 3
     assert stderr.count("\n") == 1
     assert stderr.startswith("error: ") and "non-finite" in stderr
+
+
+def huge_features_csv(tmp_path, source, scale):
+    """The golden blobs, or 60 N(0, I) rows in 3 classes, times scale."""
+    if source == "blobs":
+        golden = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
+        rows = list(csv.reader(golden.open()))[1:]  # f1,f2,label,f3,f4,f5
+        feats = np.array([r[:2] + r[3:] for r in rows], dtype=float)
+        labels = [r[2] for r in rows]
+    else:
+        rng = np.random.default_rng(0)
+        feats, labels = rng.standard_normal((60, 3)), np.arange(60) % 3
+    return write_csv(tmp_path / "huge.csv", feats * scale, labels)
+
+
+@pytest.mark.parametrize("source,scale", [("blobs", 3e153), ("blobs", 1e154),
+                                          ("blobs", 1e160),
+                                          ("gaussian", 3e153)])
+def test_descriptors_on_huge_features_exit_3(tmp_path, capsys, source, scale):
+    data = huge_features_csv(tmp_path, source, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = main_in_process(capsys, "descriptors",
+                                               "--input", str(data))
+    assert code == 3 and stdout == ""
+    assert stderr == "error: feature values too large for the descriptors\n"
 
 
 @pytest.mark.parametrize("text,line,message", [

@@ -3,11 +3,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from spectral_complexity import (DataError, DescriptorReport, LabeledDataset,
-                                 compute_descriptors, f1, f2, f3, n1, n2, n3,
-                                 t2)
+                                 NumericError, compute_descriptors, f1, f2, f3,
+                                 gen_gaussian_suite, n1, n2, n3, t2)
 from spectral_complexity import descriptors
 from spectral_complexity.descriptors import _mst_edges, _neighbours
 
@@ -238,6 +238,76 @@ def test_mst_and_n1_match_kruskal_reference(kind):
         assert n1(embed_2d(X, labels)) == reference_n1(X, labels)
 
 
+def reference_prim_edges(X):
+    """The Prim loop that _mst_edges replaced: every step compacts the
+    outside points with boolean masks and gathers their rows of X."""
+    v = 0
+    rest = np.arange(1, X.shape[0])
+    length = np.full(rest.size, np.inf)
+    near = np.zeros(rest.size, dtype=np.intp)
+    edges = []
+    while rest.size:
+        row = cdist(X[v:v + 1], X[rest])[0]
+        better = (row < length) | ((row == length) & (v < near))
+        length[better] = row[better]
+        near[better] = v
+        tied = np.flatnonzero(length == length.min())
+        lo = np.minimum(near[tied], rest[tied])
+        hi = np.maximum(near[tied], rest[tied])
+        first = np.lexsort((hi, lo))[0]
+        edges.append((int(lo[first]), int(hi[first])))
+        v = rest[tied[first]]
+        keep = rest != v
+        rest, length, near = rest[keep], length[keep], near[keep]
+    return sorted(edges)
+
+
+def prim_fixture(kind, seed):
+    if kind in ("grid", "rounded", "coincident"):
+        return mst_fixture(kind, seed)[0]
+    rng = np.random.default_rng(seed)
+    n = 2 if kind == "pair" else int(rng.integers(2, 61))
+    X = np.round(rng.standard_normal((n, int(rng.integers(1, 6)))), 1)
+    if kind == "same":
+        X[:] = X[0]
+    if kind == "scaled":
+        X *= 1e150
+    return X
+
+
+@pytest.mark.parametrize("kind", ["grid", "rounded", "coincident", "same",
+                                  "scaled", "pair"])
+def test_mst_matches_compaction_reference(kind):
+    for seed in range(70):
+        X = prim_fixture(kind, seed)
+        assert _mst_edges(X) == reference_prim_edges(X)
+
+
+def test_mst_matches_compaction_reference_on_default_suite():
+    # The six datasets of `benchmark` with its default flags; the trial
+    # count only sets the oracle's precision, not the datasets.
+    suite = gen_gaussian_suite(n_classes=10, dim=3, per_class=200,
+                               separations=(8, 5, 3, 2, 1, 0.5), seed=42,
+                               trials=10_000)
+    for ds in suite.datasets:
+        assert _mst_edges(ds.features) == reference_prim_edges(ds.features)
+
+
+def test_mst_memory_is_linear():
+    n = 4000
+    rng = np.random.default_rng(0)
+    emb = embed_2d(rng.standard_normal((n, 3)), np.arange(n) % 2)
+    tracemalloc.start()
+    try:
+        n1(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The working copy, per-point state and edge list: about 0.7 MB at
+    # this size, against 8 MiB for one cdist block of the n2/n3 pass.
+    assert peak < 384 * n
+
+
 def reference_neighbor_distances(emb):
     """Nearest same-class and other-class distances from one full matrix."""
     D = squareform(pdist(emb.features))
@@ -319,6 +389,55 @@ def test_neighbour_pass_allocates_no_square_matrix(measure):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n
+
+
+@pytest.mark.parametrize("kind", ["singleton", "coincident", "scaled"])
+def test_compute_descriptors_runs_one_neighbour_pass(kind, monkeypatch):
+    calls = []
+
+    def counting(emb):
+        calls.append(emb)
+        return _neighbours(emb)
+
+    monkeypatch.setattr(descriptors, "_neighbours", counting)
+    for seed in range(10):
+        emb = neighbour_fixture(kind, seed)
+        calls.clear()
+        rep = compute_descriptors(emb)
+        assert len(calls) == 1
+        assert (rep.n2, rep.n2_skipped) == n2(emb)
+        assert rep.n3 == n3(emb)
+
+
+class TestHugeFeatures:
+    def test_overflowing_f1_refused(self):
+        # Finite f1 at unit scale; its squares overflow at this one.
+        rng = np.random.default_rng(0)
+        X, labels = rng.standard_normal((60, 3)), np.arange(60) % 3
+        assert f1(embed_2d(X, labels)) > 0.0
+        emb = embed_2d(X * 3e153, labels)
+        for measure in (f1, compute_descriptors):
+            with pytest.raises(NumericError, match="too large"):
+                measure(emb)
+
+    @pytest.mark.parametrize("measure", [f1, f2, n1, n2, n3,
+                                         compute_descriptors])
+    def test_every_overflowing_measure_refused(self, measure):
+        emb = embed_1d([-1e308, -1e308, 1e308, 1e308], [0, 1, 1, 0])
+        with pytest.raises(NumericError, match="too large"):
+            measure(emb)
+
+    def test_far_groups_keep_n2_n3_but_refuse_n1(self):
+        # Only distances between the two groups overflow. Every point has
+        # both classes near it, so n2 and n3 stay exact, but the tree must
+        # join the groups by an edge that overflows.
+        far, ulp = 2.0 ** 531, 2.0 ** 479
+        emb = embed_1d([0.0, 1.0, 2.0, 3.0] + [far + k * ulp for k in range(4)],
+                       [0, 1, 0, 1, 0, 1, 0, 1])
+        assert n2(emb) == reference_n2(emb)
+        assert n3(emb) == 1.0
+        with pytest.raises(NumericError, match="too large"):
+            n1(emb)
 
 
 class TestSampleRatio:
