@@ -291,8 +291,7 @@ class BenchmarkResult:
 
 
 def run_benchmark(suite: SyntheticSuite, params: HyperParams,
-                  include_descriptors: bool = False,
-                  threads: int = 1) -> BenchmarkResult:
+                  include_descriptors: bool = False) -> BenchmarkResult:
     """Score every suite dataset and correlate each metric with the oracle.
 
     Metrics with any non-finite value (f1 can be +inf) are excluded
@@ -302,7 +301,7 @@ def run_benchmark(suite: SyntheticSuite, params: HyperParams,
     columns: dict[str, list[float]] = {name: [] for name in names}
     for ds in suite.datasets:
         emb = apply_reduction(ds, params)
-        X = build_similarity_matrix(emb, params, threads=threads)
+        X = build_similarity_matrix(emb, params)
         W = bray_curtis_symmetrize(X)
         values = asdict(compute_scores(spectrum(build_laplacian(W))))
         if include_descriptors:

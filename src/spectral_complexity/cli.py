@@ -85,7 +85,7 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=3, help="neighbour rank")
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="similarity worker threads "
+                   help="recorded by complexity; changes no result or speed "
                         "(default: $SPECTRAL_COMPLEXITY_THREADS or 1)")
 
 
@@ -98,8 +98,7 @@ def run_complexity(args) -> int:
     emb = apply_reduction(ds, params)
     X = build_similarity_matrix(emb, params,
                                 row_normalize=not args.no_row_normalize,
-                                include_diagonal=not args.no_diagonal,
-                                threads=threads)
+                                include_diagonal=not args.no_diagonal)
     W = bray_curtis_symmetrize(X)
     L = build_laplacian(W)
     spec = spectrum(L)
@@ -122,7 +121,7 @@ def run_complexity(args) -> int:
 
 def run_benchmark(args) -> int:
     params = HyperParams(M=args.M, E=args.E, k=args.k, seed=args.seed)
-    threads = _resolve_threads(args)
+    _resolve_threads(args)  # validated only; benchmark reports omit it
     separations = _parse_separations(args.separations)
     shown = METRICS + (DESCRIPTORS if args.descriptors else ())
     if args.svg_metric not in shown:
@@ -132,8 +131,7 @@ def run_benchmark(args) -> int:
                                         separations, args.seed,
                                         trials=args.trials)
     result = analysis.run_benchmark(suite, params,
-                                    include_descriptors=args.descriptors,
-                                    threads=threads)
+                                    include_descriptors=args.descriptors)
     payload = build_benchmark_report(result, params, n_classes=args.classes,
                                      dim=args.dim, per_class=args.per_class,
                                      trials=args.trials)

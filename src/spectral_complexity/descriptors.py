@@ -66,8 +66,9 @@ def f1(emb: LabeledDataset) -> float:
 
     Per feature: between-class variance (class-count weighted squared
     mean offsets) over pooled within-class variance. Zero within-class
-    variance with separated means gives +inf; fully degenerate features
-    contribute 0. Means or squares that overflow raise NumericError.
+    variance with separated means, or a ratio beyond the float64 range,
+    gives +inf; fully degenerate features contribute 0. Means or squares
+    that overflow raise NumericError.
     """
     X = emb.features
     with np.errstate(over="ignore", invalid="ignore"):
@@ -82,7 +83,8 @@ def f1(emb: LabeledDataset) -> float:
         raise _too_large()
     ratios = np.zeros(X.shape[1])
     pos = within > 0
-    ratios[pos] = between[pos] / within[pos]
+    with np.errstate(over="ignore"):
+        ratios[pos] = between[pos] / within[pos]
     ratios[~pos & (between > 0)] = np.inf
     return float(ratios.max())
 

@@ -7,19 +7,17 @@ over the matrix columns then produces the symmetric affinity W that the
 spectral stage consumes.
 
 Every class pair gets its own RNG stream derived from (seed, i, j), so
-results are independent of evaluation order and thread schedule.
+results are independent of evaluation order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .ingest import (HyperParams, LabeledDataset, _checked_matrix, _store,
                      class_partition)
 
@@ -192,7 +190,8 @@ def class_pair_expectation(source: int, target: int, emb: LabeledDataset,
         raise DataError(f"class pair ({source}, {target}) is out of range")
     rows = class_partition(emb)
     draw = _draw(rows[source], rows[target], params, rng)
-    values, degenerate = _pair_means(emb, params.k, [draw])
+    values, degenerate = _pair_means(emb, params.k, [(source, target)],
+                                     [draw])
     if diagnostics is not None:
         diagnostics.degenerate_densities += degenerate
         if draw[0].size < params.M or draw[1].size < params.E:
@@ -209,30 +208,38 @@ def _draw(src_idx: np.ndarray, tgt_idx: np.ndarray, params: HyperParams,
             rng.choice(tgt_idx, size=e, replace=False))
 
 
-def _pair_means(emb: LabeledDataset, k: int,
+def _pair_means(emb: LabeledDataset, k: int, pairs: list[tuple[int, int]],
                 draws: list[tuple[np.ndarray, np.ndarray]],
                 ) -> tuple[np.ndarray, int]:
     """Mean density of each pair's draws, all of one (m, e) shape, with
-    the degenerate-density count over all of them."""
+    the degenerate-density count over all of them. A mean past the
+    float64 range raises NumericError naming the first such pair."""
     queries = np.stack([q for q, _ in draws])
     targets = np.stack([t for _, t in draws])
     density, degenerate = _batch_density(emb.features[queries],
                                          emb.features[targets], k,
                                          exclude_self=True)
     # A sum along each contiguous row keeps the per-pair summation order.
-    return density.sum(axis=1) / queries.shape[1], degenerate
+    with np.errstate(over="ignore"):
+        means = density.sum(axis=1) / queries.shape[1]
+    bad = np.flatnonzero(np.isinf(means))
+    if bad.size:
+        raise NumericError(f"similarity of class pair {pairs[bad[0]]} "
+                           "overflows float64; try --reduce pca:<d>")
+    return means, degenerate
 
 
 def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
                             row_normalize: bool = True,
                             include_diagonal: bool = True,
                             threads: int = 1) -> ClassSimilarityMatrix:
-    """Populate all class pairs of the similarity matrix.
+    """Populate all class pairs of the similarity matrix, in pair order.
 
-    Per-pair RNG streams make the result identical for any thread count.
-    Rows are normalized to sum 1 unless row_normalize is off; all-zero
-    rows are left as zero and recorded in diagnostics. Skipping the
-    diagonal leaves those cells at 0 before normalization.
+    `threads` is accepted and has no effect. Rows are normalized to sum
+    1 unless row_normalize is off; all-zero rows are left as zero and
+    recorded in diagnostics. Skipping the diagonal leaves those cells
+    at 0 before normalization. A pair mean or row sum past the float64
+    range raises NumericError.
     """
     n = emb.n_classes
     pairs = [(i, j) for i in range(n) for j in range(n)
@@ -243,38 +250,30 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
         i, j = pair
         return min(params.M, rows[i].size), min(params.E, rows[j].size)
 
-    # Consecutive pairs of one (m, e) shape share a chunk, scored by one
-    # _batch_density call. _BLOCK caps the float64 entries of its
-    # distances, (P, m, e), and of its gathered rows, (P, m + e, d).
-    chunks = []
-    for (m, e), run in groupby(pairs, key=shape):
-        run = list(run)
-        size = max(1, _BLOCK // max(m * e, (m + e) * emb.n_features))
-        chunks += [run[s:s + size] for s in range(0, len(run), size)]
-
-    def job(chunk: list[tuple[int, int]]) -> tuple[np.ndarray, int]:
-        draws = [_draw(rows[i], rows[j], params, pair_rng(params.seed, i, j))
-                 for i, j in chunk]
-        return _pair_means(emb, params.k, draws)
-
-    # The pool starts a thread per submit while none is idle, and map
-    # submits every chunk at once, so workers are capped at the CPU count.
-    workers = min(threads, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, chunks))
-    else:
-        results = [job(c) for c in chunks]
-
     diagnostics = SimilarityDiagnostics(replacement_pairs=[
         p for p in pairs if shape(p) != (params.M, params.E)])
     raw = np.zeros((n, n), dtype=np.float64)
-    for chunk, (values, degenerate) in zip(chunks, results):
-        raw[tuple(zip(*chunk))] = values
-        diagnostics.degenerate_densities += degenerate
+    # Consecutive pairs of one (m, e) shape share a chunk, scored by one
+    # _batch_density call. _BLOCK caps the float64 entries of its
+    # distances, (P, m, e), and of its gathered rows, (P, m + e, d).
+    for (m, e), run in groupby(pairs, key=shape):
+        run = list(run)
+        size = max(1, _BLOCK // max(m * e, (m + e) * emb.n_features))
+        for s in range(0, len(run), size):
+            chunk = run[s:s + size]
+            draws = [_draw(rows[i], rows[j], params,
+                           pair_rng(params.seed, i, j)) for i, j in chunk]
+            values, degenerate = _pair_means(emb, params.k, chunk, draws)
+            raw[tuple(zip(*chunk))] = values
+            diagnostics.degenerate_densities += degenerate
 
     if row_normalize:
-        sums = raw.sum(axis=1)
+        with np.errstate(over="ignore"):
+            sums = raw.sum(axis=1)
+        bad = np.flatnonzero(np.isinf(sums))
+        if bad.size:
+            raise NumericError(f"similarity row of class {bad[0]} sums past "
+                               "float64; try --reduce pca:<d>")
         zero_rows = np.flatnonzero(sums == 0.0)
         diagnostics.zero_mass_rows.extend(int(r) for r in zero_rows)
         safe = np.where(sums == 0.0, 1.0, sums)

@@ -490,6 +490,34 @@ def test_pca_variance_overflow_exits_3_without_warnings(tmp_path, capsys):
     assert stderr.startswith("error: ") and "non-finite" in stderr
 
 
+def test_similarity_overflow_exits_3_without_warnings(tmp_path, capsys):
+    # Ten coincident rows in d=40 clamp every self-pair density to
+    # float64's max, and the mean of twenty of them overflows.
+    rng = np.random.default_rng(0)
+    feats = np.vstack([np.zeros((10, 40)), rng.standard_normal((30, 40))])
+    data = write_csv(tmp_path / "tight.csv", feats, [0] * 10 + [1] * 30)
+    for flags in ((), ("--no-row-normalize",)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = main_in_process(
+                capsys, "complexity", "--input", str(data), "--M", "20",
+                "--E", "25", *flags)
+        assert code == 3 and stdout == ""
+        assert stderr == ("error: similarity of class pair (0, 0) overflows "
+                          "float64; try --reduce pca:<d>\n")
+
+
+def test_f1_ratio_overflow_prints_inf_without_warnings(tmp_path, capsys):
+    data = tmp_path / "tiny.csv"
+    data.write_text("x,label\n0,a\n1e-160,a\n1,b\n1,b\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = main_in_process(capsys, "descriptors",
+                                               "--input", str(data))
+    assert code == 0 and stderr == ""
+    assert "f1=inf\n" in stdout
+
+
 def huge_features_csv(tmp_path, source, scale):
     """The golden blobs, or 60 N(0, I) rows in 3 classes, times scale."""
     if source == "blobs":

@@ -40,6 +40,10 @@ class TestFisherRatio:
         emb = embed_1d([0.0, 0.0, 2.0, 2.0], [0, 0, 1, 1])
         assert f1(emb) == np.inf
 
+    def test_ratio_past_float64_is_inf(self):
+        emb = embed_1d([0.0, 1e-160, 1.0, 1.0], [0, 0, 1, 1])
+        assert f1(emb) == np.inf
+
     def test_picks_best_feature(self):
         # Feature 0 is noise shared by both classes; feature 1 separates.
         pts = [[0.0, 0.0], [1.0, 2.0], [0.0, 4.0], [1.0, 6.0]]

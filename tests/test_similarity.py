@@ -210,32 +210,19 @@ class TestBuildSimilarityMatrix:
         b = build_similarity_matrix(emb, params, threads=8)
         assert np.array_equal(a.values, b.values)
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        from spectral_complexity import similarity
-        seen = []
+    def test_starts_no_thread(self, monkeypatch):
+        import threading
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+        def refuse(thread):
+            raise AssertionError("the similarity stage started a thread")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(similarity, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(similarity.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         ds = make_blobs([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], per_class=20)
         params = HyperParams(M=10, E=10, k=3, seed=21)
         emb = embed(ds)
         X = build_similarity_matrix(emb, params, threads=10 ** 6)
-        assert seen == [3]
-        assert np.array_equal(X.values,
-                              build_similarity_matrix(emb, params).values)
+        assert np.array_equal(
+            X.values, build_similarity_matrix(emb, params, threads=1).values)
 
     def test_permutation_equivariance_exact(self):
         from spectral_complexity import LabeledDataset
@@ -305,6 +292,44 @@ class TestBuildSimilarityMatrix:
                                     include_diagonal=False)
         assert np.array_equal(np.diag(X.values), np.zeros(3))
         assert X.values[0, 1] > 0.0
+
+
+def tight_and_spread(coincident=1):
+    """In d=40, `coincident` classes of 10 all-zero rows, then 30 N(0, I)
+    rows. A zero-row query floors its radius to 1e-12, the volume
+    (2e-12)**40 underflows, and the density is clamped to float64's max."""
+    from spectral_complexity import LabeledDataset
+    rng = np.random.default_rng(0)
+    feats = np.vstack([np.zeros((10 * coincident, 40)),
+                       rng.standard_normal((30, 40))])
+    labels = np.repeat(np.arange(coincident + 1), [10] * coincident + [30])
+    return LabeledDataset(features=feats, labels=labels)
+
+
+class TestDensityOverflow:
+    @pytest.mark.parametrize("row_normalize", [True, False])
+    def test_pair_mean_overflow_is_numeric_error(self, row_normalize):
+        from spectral_complexity import NumericError
+        emb = tight_and_spread()
+        params = HyperParams(M=20, E=25, k=3, seed=0)
+        message = (r"^similarity of class pair \(0, 0\) overflows float64; "
+                   r"try --reduce pca:<d>$")
+        with pytest.raises(NumericError, match=message):
+            build_similarity_matrix(emb, params, row_normalize=row_normalize)
+        with pytest.raises(NumericError, match=message):
+            class_pair_expectation(0, 0, emb, params, pair_rng(0, 0, 0))
+
+    def test_row_sum_overflow_is_numeric_error(self):
+        # One query per pair: (0, 0) and (0, 1) each average a single
+        # clamped density, finite alone, past float64's range together.
+        from spectral_complexity import NumericError
+        emb = tight_and_spread(coincident=2)
+        params = HyperParams(M=1, E=25, k=3, seed=0)
+        X = build_similarity_matrix(emb, params, row_normalize=False)
+        assert X.values[0, 0] == X.values[0, 1] == np.finfo(np.float64).max
+        with pytest.raises(NumericError,
+                           match=r"^similarity row of class 0 sums past"):
+            build_similarity_matrix(emb, params)
 
 
 class TestBrayCurtis:
