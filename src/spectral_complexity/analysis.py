@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.spatial.distance import pdist
-from scipy.special import betainc
-from scipy.stats import rankdata
 
 from .errors import DataError, NumericError
 from .ingest import HyperParams, LabeledDataset, _checked_matrix, _store
@@ -90,6 +86,7 @@ def pearson(x, y) -> CorrelationResult:
     p comes from the regularized incomplete beta form of the t
     distribution with m-2 degrees of freedom; |r| = 1 maps to p = 0.
     """
+    from scipy.special import betainc
     xv = np.asarray(x, dtype=np.float64).ravel()
     yv = np.asarray(y, dtype=np.float64).ravel()
     if xv.size != yv.size:
@@ -116,6 +113,7 @@ def pearson(x, y) -> CorrelationResult:
 
 def rank_correlation(x, y) -> float:
     """Spearman rho: Pearson correlation of the rank transforms."""
+    from scipy.stats import rankdata
     return pearson(rankdata(x), rankdata(y)).r
 
 
@@ -128,6 +126,7 @@ def classical_mds(U: np.ndarray) -> InterClassMap:
     positive. Stress is the sum of squared distance residuals over
     unordered pairs.
     """
+    from scipy.spatial.distance import pdist
     U = _checked_matrix(U, "dissimilarity matrix", symmetric=True)
     if U.shape[0] < 2:
         raise DataError(f"need at least 2 classes to embed, got {U.shape[0]}")
@@ -166,6 +165,7 @@ def _simplex_vertices(n: int, dim: int) -> np.ndarray:
     coordinate j mod dim) and the result is rescaled so the minimum
     pairwise vertex distance is 1 again.
     """
+    from scipy.spatial.distance import pdist
     basis = np.zeros((n - 1, n))
     for k in range(1, n):
         basis[k - 1, :k] = 1.0 / np.sqrt(k * (k + 1))
@@ -195,6 +195,7 @@ def bayes_error_oracle(means, covariances, priors, trials: int,
     by the true prior-weighted densities (ties go to the lowest class
     index). Returns (error rate, standard error).
     """
+    from scipy.linalg import solve_triangular
     mu = np.atleast_2d(np.asarray(means, dtype=np.float64))
     n, dim = mu.shape
     covs = np.asarray(covariances, dtype=np.float64)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericError
 from .ingest import LabeledDataset, class_partition
@@ -140,6 +139,7 @@ def _mst_edges(X: np.ndarray) -> list[tuple[int, int]]:
     by the smaller (i, j) index pair. An edge length that overflows raises
     NumericError.
     """
+    from scipy.spatial.distance import cdist
     # Slots [0, k) hold the points outside the tree: coordinates, original
     # index, and the length and tree end of each one's best edge. A point
     # that joins the tree swaps places with the last live slot.
@@ -188,6 +188,7 @@ def _neighbours(emb: LabeledDataset) -> tuple[np.ndarray, ...]:
     computed from `cdist` blocks of about _BLOCK entries. A nearest
     distance that overflows raises NumericError.
     """
+    from scipy.spatial.distance import cdist
     X, n = emb.features, emb.n_samples
     # Labels in the smallest integer type build the class masks fastest.
     labels = emb.labels.astype(np.min_scalar_type(emb.n_classes - 1))

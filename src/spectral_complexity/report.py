@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from datetime import datetime, timezone
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -306,7 +306,7 @@ def mds_svg(m: InterClassMap, labels) -> str:
         marks.append(
             f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="5" fill="#d62728"/>'
             f'<text x="{px(x) + 8:.2f}" y="{py(y) - 8:.2f}" font-size="12">'
-            f"{escape(name)}</text>"
+            f"{escape(name, quote=False)}</text>"
         )
     return _svg(
         width, height,
@@ -348,6 +348,6 @@ def benchmark_svg(result: BenchmarkResult, metric: str = "cmsauls") -> str:
         f'text-anchor="middle" font-size="12">oracle error</text>'
         f'<text x="14" y="{(top + height - bottom) / 2:.0f}" font-size="12" '
         f'transform="rotate(-90 14 {(top + height - bottom) / 2:.0f})" '
-        f'text-anchor="middle">{escape(metric)}</text>'
+        f'text-anchor="middle">{escape(metric, quote=False)}</text>'
         + marks
     )

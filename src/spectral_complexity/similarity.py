@@ -289,7 +289,8 @@ def bray_curtis_symmetrize(X: ClassSimilarityMatrix) -> SymmetricAffinity:
 
     W_ij = 1 - sum_q |X_qi - X_qj| / sum_q (X_qi + X_qj), with the
     diagonal pinned to exactly 1. A zero denominator (two all-zero
-    columns) yields W_ij = 1 and a diagnostics entry.
+    columns) yields W_ij = 1 and a diagnostics entry. A column sum past
+    the float64 range raises NumericError naming the first such pair.
     """
     cols = np.ascontiguousarray(X.values.T)
     n = cols.shape[0]
@@ -298,8 +299,16 @@ def bray_curtis_symmetrize(X: ClassSimilarityMatrix) -> SymmetricAffinity:
     for i in range(n - 1):
         # One sum per contiguous row keeps numpy's pairwise summation
         # order, so W matches a column-by-column loop bit for bit.
-        num = np.abs(cols[i + 1:] - cols[i]).sum(axis=1)
-        den = (cols[i + 1:] + cols[i]).sum(axis=1)
+        with np.errstate(over="ignore"):
+            num = np.abs(cols[i + 1:] - cols[i]).sum(axis=1)
+            den = (cols[i + 1:] + cols[i]).sum(axis=1)
+        # X is nonnegative, so num <= den term by term: only den can
+        # overflow alone.
+        bad = np.flatnonzero(np.isinf(den))
+        if bad.size:
+            raise NumericError(f"Bray-Curtis sums of class pair "
+                               f"{(i, i + 1 + int(bad[0]))} overflow float64; "
+                               "try --reduce pca:<d>")
         zero = den == 0.0
         zero_pairs.extend((i, i + 1 + int(j)) for j in np.flatnonzero(zero))
         # Rounding can push the ratio a hair past [0, 1].

@@ -507,6 +507,25 @@ def test_similarity_overflow_exits_3_without_warnings(tmp_path, capsys):
                           "float64; try --reduce pca:<d>\n")
 
 
+def test_bray_curtis_overflow_exits_3_without_warnings(tmp_path, capsys):
+    # With one query per pair and raw densities, the all-zero and the
+    # all-one class each add one clamped float64 max to their column,
+    # and the Bray-Curtis sums over columns 0 and 1 overflow.
+    rng = np.random.default_rng(0)
+    feats = np.vstack([np.zeros((10, 40)), np.ones((10, 40)),
+                       rng.standard_normal((30, 40))])
+    data = write_csv(tmp_path / "tight.csv", feats, [0] * 10 + [1] * 10
+                     + [2] * 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = main_in_process(
+            capsys, "complexity", "--input", str(data), "--M", "1", "--E",
+            "25", "--no-row-normalize")
+    assert code == 3 and stdout == ""
+    assert stderr == ("error: Bray-Curtis sums of class pair (0, 1) overflow "
+                      "float64; try --reduce pca:<d>\n")
+
+
 def test_f1_ratio_overflow_prints_inf_without_warnings(tmp_path, capsys):
     data = tmp_path / "tiny.csv"
     data.write_text("x,label\n0,a\n1e-160,a\n1,b\n1,b\n")
@@ -560,3 +579,24 @@ def test_csv_error_names_physical_line(tmp_path, capsys, text, line, message):
     assert code == 2 and stdout == ""
     assert stderr.startswith(f"error: {path}: line {line}: {message}")
     assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
+
+def test_complexity_loads_no_scipy_or_network_modules(tmp_path):
+    # `complexity` needs numpy and the standard library only: scipy is
+    # imported by the descriptor, benchmark and mds code that calls it,
+    # and xml.sax.saxutils would pull in urllib.request, http and ssl.
+    blobs = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
+    code = (
+        "import sys\n"
+        "from spectral_complexity import cli\n"
+        f"code = cli.main(['complexity', '--input', {str(blobs)!r}, "
+        f"'--out', {str(tmp_path / 'report.json')!r}])\n"
+        "banned = ('scipy', 'xml.sax', 'urllib.request', 'http.client', "
+        "'ssl')\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if any(m == b or m.startswith(b + '.')\n"
+        "                          for b in banned)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -227,6 +227,34 @@ class TestSvgOutputs:
         with pytest.raises(DataError, match="no metric"):
             benchmark_svg(result, metric="does-not-exist")
 
+    def test_escaping_matches_xml_sax_saxutils(self, monkeypatch):
+        # The SVGs escape with html.escape(quote=False); the bytes must be
+        # those xml.sax.saxutils.escape wrote before.
+        from xml.sax.saxutils import escape as sax_escape
+        from spectral_complexity import SymmetricAffinity, report
+        names = ["a & b", "<c>", "\"q\" 'r'", "&amp;", "tab\tbell\x07\x1f",
+                 "naïve ✓ 名前"]
+        m = InterClassMap(coordinates=np.array(
+            [[np.cos(t), np.sin(t)] for t in np.arange(6) * np.pi / 3]),
+            stress=0.0)
+        result = BenchmarkResult(
+            separations=(8.0, 2.0, 0.5), oracle_errors=(0.01, 0.2, 0.4),
+            oracle_stderrs=(0.0, 0.0, 0.0),
+            metric_values={n: (0.1, 0.9, 2.0) for n in names},
+            correlations={})
+        W = np.full((6, 6), 0.5) + 0.5 * np.eye(6)
+        s = spectrum(build_laplacian(SymmetricAffinity(values=W)))
+
+        def svgs():
+            return [report.spectrum_svg(s), mds_svg(m, names),
+                    *(benchmark_svg(result, n) for n in names)]
+
+        new = svgs()
+        monkeypatch.setattr(report, "escape",
+                            lambda text, quote=True: sax_escape(text))
+        assert new == svgs()
+        assert "&amp;amp;" in new[1] and "&lt;c&gt;" in new[3]
+
 
 class TestBenchmarkReport:
     def test_structure_and_round_trip(self, tmp_path):

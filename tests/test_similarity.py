@@ -331,6 +331,24 @@ class TestDensityOverflow:
                            match=r"^similarity row of class 0 sums past"):
             build_similarity_matrix(emb, params)
 
+    def test_bray_curtis_column_sum_overflow_is_numeric_error(self):
+        # Classes of ten all-zero and ten all-one rows each put one
+        # clamped density into their own column; columns 0 and 1 hold
+        # one apiece, finite alone, past float64's range summed.
+        from spectral_complexity import LabeledDataset, NumericError
+        rng = np.random.default_rng(0)
+        feats = np.vstack([np.zeros((10, 40)), np.ones((10, 40)),
+                           rng.standard_normal((30, 40))])
+        emb = LabeledDataset(features=feats,
+                             labels=np.repeat([0, 1, 2], [10, 10, 30]))
+        params = HyperParams(M=1, E=25, k=3, seed=0)
+        X = build_similarity_matrix(emb, params, row_normalize=False)
+        assert X.values[0, 0] == X.values[1, 1] == np.finfo(np.float64).max
+        with pytest.raises(NumericError,
+                           match=r"^Bray-Curtis sums of class pair \(0, 1\) "
+                                 r"overflow float64; try --reduce pca:<d>$"):
+            bray_curtis_symmetrize(X)
+
 
 class TestBrayCurtis:
     def wrap(self, values):
@@ -601,23 +619,3 @@ def test_stage_memory_stays_within_a_few_blocks(classes, rows, dim, M, E):
     finally:
         tracemalloc.stop()
     assert peak < 16 * _BLOCK * 8 == 4 * 2 ** 20
-
-
-def test_similarity_module_loads_no_scipy():
-    # The package root still imports the scipy-using modules, so the
-    # stage is imported under a bare package that skips __init__.py.
-    import subprocess
-    import sys
-    from pathlib import Path
-    import spectral_complexity
-    code = (
-        "import sys, types\n"
-        "pkg = types.ModuleType('spectral_complexity')\n"
-        f"pkg.__path__ = [{str(Path(spectral_complexity.__file__).parent)!r}]\n"
-        "sys.modules['spectral_complexity'] = pkg\n"
-        "import spectral_complexity.similarity\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
