@@ -126,7 +126,6 @@ def classical_mds(U: np.ndarray) -> InterClassMap:
     positive. Stress is the sum of squared distance residuals over
     unordered pairs.
     """
-    from scipy.spatial.distance import pdist
     U = _checked_matrix(U, "dissimilarity matrix", symmetric=True)
     if U.shape[0] < 2:
         raise DataError(f"need at least 2 classes to embed, got {U.shape[0]}")
@@ -151,9 +150,9 @@ def classical_mds(U: np.ndarray) -> InterClassMap:
         peak = int(np.argmax(np.abs(col)))
         if col[peak] < 0:
             coords[:, axis] = -col
-    # pdist's condensed order is the row-major upper triangle.
     iu, ju = np.triu_indices(n, k=1)
-    stress = float(((U[iu, ju] - pdist(coords)) ** 2).sum())
+    dist = np.sqrt(((coords[iu] - coords[ju]) ** 2).sum(axis=1))
+    stress = float(((U[iu, ju] - dist) ** 2).sum())
     return InterClassMap(coordinates=coords, stress=stress)
 
 

@@ -165,19 +165,19 @@ class LabeledDataset:
         if not np.all(np.isfinite(feats)):
             bad = int(np.flatnonzero(~np.isfinite(feats).all(axis=1))[0])
             raise DataError(f"non-finite feature value in sample {bad}")
-        uniq = np.unique(labs)
-        if uniq.size < 2:
-            raise DataError(f"need at least 2 classes, got {uniq.size}")
-        if uniq[0] != 0 or uniq[-1] != uniq.size - 1:
-            # Every id in [0, n) must appear; gaps mean an empty class.
+        lo, hi = int(labs.min()), int(labs.max())
+        if lo == hi:
+            raise DataError("need at least 2 classes, got 1")
+        # Every id in [0, n) must appear; gaps mean an empty class. The
+        # range check keeps bincount from allocating for a huge id.
+        if lo != 0 or hi >= labs.size or not np.bincount(labs).all():
             raise DataError("labels must cover 0..n-1 densely; found an empty class")
+        n = hi + 1
         names = tuple(self.class_names) if self.class_names else tuple(
-            str(i) for i in range(uniq.size)
+            str(i) for i in range(n)
         )
-        if len(names) != uniq.size:
-            raise DataError(
-                f"class_names length {len(names)} != class count {uniq.size}"
-            )
+        if len(names) != n:
+            raise DataError(f"class_names length {len(names)} != class count {n}")
         _store(self, features=feats, labels=labs)
         object.__setattr__(self, "class_names", names)
 

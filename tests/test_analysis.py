@@ -140,6 +140,23 @@ class TestClassicalMds:
         assert out.stress > 1.0
         assert np.all(np.isfinite(out.coordinates))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stress_matches_pdist(self, seed):
+        # The stress sums residuals against numpy row distances of the
+        # 2-column map; they equal scipy's pdist bit for bit.
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            if rng.random() < 0.5:
+                pts = rng.standard_normal((n, int(rng.integers(1, 6))))
+                U = squareform(pdist(pts * 10.0 ** rng.uniform(-6, 6)))
+            else:
+                U = squareform(rng.exponential(size=n * (n - 1) // 2))
+            out = classical_mds(U)
+            iu, ju = np.triu_indices(n, k=1)
+            want = float(((U[iu, ju] - pdist(out.coordinates)) ** 2).sum())
+            assert out.stress == want
+
     def test_validation(self):
         with pytest.raises(DataError, match="square"):
             classical_mds(np.zeros((2, 3)))

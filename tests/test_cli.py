@@ -592,10 +592,29 @@ def test_complexity_loads_no_scipy_or_network_modules(tmp_path):
         f"code = cli.main(['complexity', '--input', {str(blobs)!r}, "
         f"'--out', {str(tmp_path / 'report.json')!r}])\n"
         "banned = ('scipy', 'xml.sax', 'urllib.request', 'http.client', "
-        "'ssl')\n"
+        "'ssl', 'numpy.ma')\n"
         "print(code, sorted(m for m in sys.modules\n"
         "                   if any(m == b or m.startswith(b + '.')\n"
         "                          for b in banned)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_mds_loads_no_scipy(tmp_path, capsys):
+    # The mds stress needs only numpy row distances of the 2-D map.
+    blobs = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
+    report = tmp_path / "report.json"
+    assert main_in_process(capsys, "complexity", "--input", str(blobs),
+                           "--out", str(report))[0] == 0
+    code = (
+        "import sys\n"
+        "from spectral_complexity import cli\n"
+        f"code = cli.main(['mds', '--from-report', {str(report)!r}, "
+        f"'--svg', {str(tmp_path / 'mds.svg')!r}])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)

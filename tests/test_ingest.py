@@ -140,6 +140,37 @@ class TestLabeledDataset:
             LabeledDataset(features=np.zeros((2, 1)),
                            labels=np.array([0, 2]), class_names=("a", "b", "c"))
 
+    @pytest.mark.parametrize("labels,names", [
+        ([5, 5, 5], ()),
+        ([0, 2], ()),
+        ([-1, 0], ()),
+        ([1, 2], ()),
+        ([0, 10**12], ()),
+        ([0, 1, 1], ("a", "b", "c")),
+    ], ids=["one-class", "gap", "negative", "from-one", "huge-id",
+            "names-length"])
+    def test_label_check_matches_unique_rule(self, monkeypatch, labels,
+                                             names):
+        # The np.unique rule that the min/max/bincount check replaced.
+        uniq = np.unique(labels)
+        if uniq.size < 2:
+            want = f"need at least 2 classes, got {uniq.size}"
+        elif uniq[0] != 0 or uniq[-1] != uniq.size - 1:
+            want = "labels must cover 0..n-1 densely; found an empty class"
+        else:
+            want = f"class_names length {len(names)} != class count {uniq.size}"
+        bincount = np.bincount
+
+        def bounded_bincount(x, *args, **kwargs):
+            assert int(np.max(x)) < len(x), "bincount over an unchecked id"
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", bounded_bincount)
+        with pytest.raises(DataError) as err:
+            LabeledDataset(features=np.zeros((len(labels), 1)),
+                           labels=np.array(labels), class_names=names)
+        assert str(err.value) == want
+
     def test_arrays_frozen(self):
         ds = LabeledDataset(features=np.zeros((2, 1)),
                             labels=np.array([0, 1]))
