@@ -94,6 +94,11 @@ def pearson(x, y) -> CorrelationResult:
     m = xv.size
     if m < 3:
         raise DataError(f"need at least 3 points, got {m}")
+    # Scaling each side by the power of two that brings its largest |value|
+    # into [0.5, 1) is exact, so r is unchanged, and neither the means nor
+    # the sums of squares below can overflow.
+    xv = np.ldexp(xv, -np.frexp(np.abs(xv).max())[1])
+    yv = np.ldexp(yv, -np.frexp(np.abs(yv).max())[1])
     xm = xv - xv.mean()
     ym = yv - yv.mean()
     sx = float(np.sqrt((xm ** 2).sum()))
@@ -226,7 +231,10 @@ def bayes_error_oracle(means, covariances, priors, trials: int,
         diff = X - mu[c]
         z = solve_triangular(chol[c], diff.T, lower=True)
         log_det = float(np.log(np.diag(chol[c])).sum())
-        scores[:, c] = (log_priors[c] - 0.5 * (z ** 2).sum(axis=0)
+        # A distance past the float64 range is an exact -inf log density.
+        with np.errstate(over="ignore"):
+            mahalanobis = (z ** 2).sum(axis=0)
+        scores[:, c] = (log_priors[c] - 0.5 * mahalanobis
                         - log_det - 0.5 * dim * np.log(2.0 * np.pi))
     predicted = np.argmax(scores, axis=1)
     error = float(np.mean(predicted != truth))
@@ -253,8 +261,8 @@ def gen_gaussian_suite(n_classes: int, dim: int, per_class: int,
     seps = tuple(float(s) for s in separations)
     if len(seps) < 3:
         raise DataError(f"need at least 3 separations, got {len(seps)}")
-    if any(s < 0 for s in seps):
-        raise DataError("separations must be nonnegative")
+    if not all(0 <= s < np.inf for s in seps):
+        raise DataError("separations must be finite and nonnegative")
     verts = _simplex_vertices(n_classes, dim)
     covs = np.broadcast_to(np.eye(dim), (n_classes, dim, dim))
     priors = np.full(n_classes, 1.0 / n_classes)

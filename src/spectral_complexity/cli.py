@@ -84,9 +84,6 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
                    help="target samples per class pair")
     p.add_argument("--k", type=int, default=3, help="neighbour rank")
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="recorded by complexity; changes no result or speed "
-                        "(default: $SPECTRAL_COMPLEXITY_THREADS or 1)")
 
 
 def run_complexity(args) -> int:
@@ -121,7 +118,6 @@ def run_complexity(args) -> int:
 
 def run_benchmark(args) -> int:
     params = HyperParams(M=args.M, E=args.E, k=args.k, seed=args.seed)
-    _resolve_threads(args)  # validated only; benchmark reports omit it
     separations = _parse_separations(args.separations)
     shown = METRICS + (DESCRIPTORS if args.descriptors else ())
     if args.svg_metric not in shown:
@@ -202,6 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="score one dataset file")
     _add_input_flags(p)
     _add_sampling_flags(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="recorded in the report; changes no result or speed "
+                        "(default: $SPECTRAL_COMPLEXITY_THREADS or 1)")
     p.add_argument("--metric", default=",".join(METRICS),
                    help="comma list of scores to emit")
     p.add_argument("--no-row-normalize", action="store_true",

@@ -238,15 +238,6 @@ def read_json(path: str, what: str = ""):
             raise DataError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _parse_feature(token: str, path: str, line_no: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise DataError(
-            f"{path}: line {line_no}: non-numeric feature value {token!r}"
-        ) from None
-
-
 def load_csv(path: str, label_column: str = "label") -> LabeledDataset:
     """Load a comma-separated file: header row, then one sample per row.
 
@@ -277,15 +268,20 @@ def load_csv(path: str, label_column: str = "label") -> LabeledDataset:
                             f"besides {label_column!r}"
                         )
                     continue
-                line_no = reader.line_num
                 if len(record) != len(header):
-                    raise DataError(f"{path}: line {line_no}: expected "
+                    raise DataError(f"{path}: line {reader.line_num}: expected "
                                     f"{len(header)} cells, got {len(record)}")
-                labels.append(record[label_idx].strip())
-                rows.append([
-                    _parse_feature(cell, path, line_no)
-                    for i, cell in enumerate(record) if i != label_idx
-                ])
+                labels.append(record.pop(label_idx).strip())
+                try:
+                    rows.append(list(map(float, record)))
+                except ValueError:
+                    for cell in record:
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise DataError(
+                                f"{path}: line {reader.line_num}: non-numeric "
+                                f"feature value {cell!r}") from None
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
@@ -310,7 +306,8 @@ def load_binary(path: str) -> LabeledDataset:
         if key not in meta:
             raise DataError(f"{meta_path}: missing key {key!r}")
     rows, cols = meta["rows"], meta["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    # bool is an int subclass, and a JSON true would pass isinstance.
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise DataError(f"{meta_path}: rows and cols must be positive integers")
     if not isinstance(meta["labels"], str):
         raise DataError(f"{meta_path}: labels must name a text file")

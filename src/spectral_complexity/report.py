@@ -74,18 +74,12 @@ def _dump(obj, indent: int = 0) -> str:
             return "[" + ", ".join(_dump(v, indent) for v in items) + "]"
         parts = [f"{inner}{_dump(v, indent + 1)}" for v in items]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
+        return json.dumps(obj)
     raise DataError(f"cannot serialize value of type {type(obj).__name__}")
 
 
@@ -226,6 +220,21 @@ def _line(x1, y1, x2, y2, stroke: str = "#333") -> str:
     return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"/>'
 
 
+def _axes(x0, y0, x1, y1) -> str:
+    """An L: the y axis at x0 from y0 down to y1, the x axis along y1 to x1."""
+    return _line(x0, y0, x0, y1) + _line(x0, y1, x1, y1)
+
+
+def _dot(x: float, y: float, r: int, fill: str) -> str:
+    return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{fill}"/>'
+
+
+def _text(x, y, size: int, body, anchor: str = "") -> str:
+    """A text element; x and y are written as given, so callers format them."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{anchor} font-size="{size}">{body}</text>'
+
+
 def spectrum_svg(s: Spectrum) -> str:
     """Line plot of eigenvalue index vs value as a standalone SVG string."""
     width, height = 480, 320
@@ -243,39 +252,25 @@ def spectrum_svg(s: Spectrum) -> str:
         return top + plot_h * (1.0 - v / y_max)
 
     points = " ".join(f"{px(i):.2f},{py(float(v)):.2f}" for i, v in enumerate(lam))
-    marks = "".join(
-        f'<circle cx="{px(i):.2f}" cy="{py(float(v)):.2f}" r="3" fill="#1f77b4"/>'
-        for i, v in enumerate(lam)
-    )
-    ticks = []
-    for frac in (0.0, 0.5, 1.0):
-        v = y_max * frac
-        y = py(v)
-        ticks.append(
-            _line(left - 4, f"{y:.2f}", left, f"{y:.2f}")
-            + f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="11">{v:.3g}</text>'
-        )
+    marks = "".join(_dot(px(i), py(float(v)), 3, "#1f77b4")
+                    for i, v in enumerate(lam))
+    ticks = "".join(
+        _line(left - 4, f"{py(v):.2f}", left, f"{py(v):.2f}")
+        + _text(left - 8, f"{py(v) + 4:.2f}", 11, f"{v:.3g}", "end")
+        for v in (y_max * frac for frac in (0.0, 0.5, 1.0)))
     x_labels = "".join(
-        f'<text x="{px(i):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
-        f'font-size="11">{i}</text>'
-        for i in range(n)
-    ) if n <= 20 else (
-        f'<text x="{px(0):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
-        f'font-size="11">0</text>'
-        f'<text x="{px(n - 1):.2f}" y="{height - bottom + 16}" '
-        f'text-anchor="middle" font-size="11">{n - 1}</text>'
+        _text(f"{px(i):.2f}", height - bottom + 16, 11, i, "middle")
+        for i in (range(n) if n <= 20 else (0, n - 1))
     )
     return _svg(
         width, height,
-        _line(left, top, left, height - bottom)
-        + _line(left, height - bottom, width - right, height - bottom)
-        + "".join(ticks) + x_labels
+        _axes(left, top, width - right, height - bottom)
+        + ticks + x_labels
         + f'<polyline points="{points}" fill="none" stroke="#1f77b4" '
         f'stroke-width="1.5"/>'
         + marks
-        + f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
-        f'text-anchor="middle" font-size="12">eigenvalue index</text>'
+        + _text(f"{left + plot_w / 2:.0f}", height - 6, 12, "eigenvalue index",
+                "middle")
     )
 
 
@@ -301,18 +296,17 @@ def mds_svg(m: InterClassMap, labels) -> str:
     def py(v: float) -> float:
         return height / 2 - (v / radius) * (span / 2)
 
-    marks = []
-    for (x, y), name in zip(coords, names):
-        marks.append(
-            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="5" fill="#d62728"/>'
-            f'<text x="{px(x) + 8:.2f}" y="{py(y) - 8:.2f}" font-size="12">'
-            f"{escape(name, quote=False)}</text>"
-        )
+    marks = "".join(
+        _dot(px(x), py(y), 5, "#d62728")
+        + _text(f"{px(x) + 8:.2f}", f"{py(y) - 8:.2f}", 12,
+                escape(name, quote=False))
+        for (x, y), name in zip(coords, names)
+    )
     return _svg(
         width, height,
         _line(width / 2, margin, width / 2, height - margin, "#ccc")
         + _line(margin, height / 2, width - margin, height / 2, "#ccc")
-        + "".join(marks)
+        + marks
     )
 
 
@@ -334,19 +328,17 @@ def benchmark_svg(result: BenchmarkResult, metric: str = "cmsauls") -> str:
         return top + (1.0 - v / y_max) * (height - top - bottom)
 
     marks = "".join(
-        f'<circle cx="{px(float(x)):.2f}" cy="{py(float(y)):.2f}" r="4" '
-        f'fill="#1f77b4"/>'
-        f'<text x="{px(float(x)) + 6:.2f}" y="{py(float(y)) - 6:.2f}" '
-        f'font-size="10">s={s:g}</text>'
+        _dot(px(float(x)), py(float(y)), 4, "#1f77b4")
+        + _text(f"{px(float(x)) + 6:.2f}", f"{py(float(y)) - 6:.2f}", 10,
+                f"s={s:g}")
         for x, y, s in zip(xs, ys, result.separations)
     )
     return _svg(
         width, height,
-        _line(left, top, left, height - bottom)
-        + _line(left, height - bottom, width - right, height - bottom)
-        + f'<text x="{(left + width - right) / 2:.0f}" y="{height - 8}" '
-        f'text-anchor="middle" font-size="12">oracle error</text>'
-        f'<text x="14" y="{(top + height - bottom) / 2:.0f}" font-size="12" '
+        _axes(left, top, width - right, height - bottom)
+        + _text(f"{(left + width - right) / 2:.0f}", height - 8, 12,
+                "oracle error", "middle")
+        + f'<text x="14" y="{(top + height - bottom) / 2:.0f}" font-size="12" '
         f'transform="rotate(-90 14 {(top + height - bottom) / 2:.0f})" '
         f'text-anchor="middle">{escape(metric, quote=False)}</text>'
         + marks

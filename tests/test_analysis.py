@@ -347,3 +347,85 @@ class TestRunBenchmark:
         result = run_benchmark(suite, params)
         assert set(result.skipped_metrics) == {"cmsauls", "csg", "auls"}
         assert result.correlations == {}
+
+
+def _parent_pearson(x, y):
+    """pearson before its inputs were scaled by a power of two: the
+    reference that ordinary inputs must match exactly."""
+    from scipy.special import betainc
+    xv = np.asarray(x, dtype=np.float64).ravel()
+    yv = np.asarray(y, dtype=np.float64).ravel()
+    m = xv.size
+    xm = xv - xv.mean()
+    ym = yv - yv.mean()
+    sx = float(np.sqrt((xm ** 2).sum()))
+    sy = float(np.sqrt((ym ** 2).sum()))
+    if sx == 0.0 or sy == 0.0:
+        raise NumericError("zero variance: correlation undefined")
+    r = float((xm * ym).sum() / (sx * sy))
+    r = max(-1.0, min(1.0, r))
+    df = m - 2
+    if 1.0 - r * r <= 0.0:
+        p = 0.0
+    else:
+        t_sq = r * r * df / (1.0 - r * r)
+        p = float(betainc(0.5 * df, 0.5, df / (df + t_sq)))
+    return CorrelationResult(r=r, p_value=p, sample_count=m)
+
+
+class TestPearsonScaling:
+    def test_matches_unscaled_formula_exactly(self):
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            m = int(rng.integers(3, 40))
+            x = rng.standard_normal(m) * 10.0 ** rng.integers(-100, 100)
+            y = rng.standard_normal(m) * 10.0 ** rng.integers(-100, 100)
+            if rng.random() < 0.2:
+                y = np.round(x * rng.normal(), 3) + rng.integers(-2, 3, m)
+            try:
+                want = _parent_pearson(x, y)
+            except NumericError:
+                with pytest.raises(NumericError):
+                    pearson(x, y)
+                continue
+            assert pearson(x, y) == want
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 4e307, 1e-310])
+    def test_extreme_scales_keep_r(self, scale):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        y = [1.0, 2.0, 3.0, 4.5]
+        want = pearson(x, y)
+        got = pearson(x * scale, y)
+        assert got.r == pytest.approx(want.r, rel=1e-14)
+        assert got.p_value == pytest.approx(want.p_value, rel=1e-12)
+        assert pearson(y, x * scale).r == got.r
+
+    def test_large_values_no_longer_give_zero(self):
+        res = pearson([1e200, 2e200, 3e200, 4e200], [1, 2, 3, 4.5])
+        assert res.r == pytest.approx(0.99437671268436889, rel=1e-14)
+
+
+def test_oracle_with_overflowing_distance_is_exact():
+    # Class 1's Mahalanobis distance from class 0's samples overflows.
+    err, se = bayes_error_oracle(
+        means=[[0.0], [1e200]], covariances=np.ones((2, 1, 1)),
+        priors=[0.5, 0.5], trials=10_000, seed=0)
+    assert err == 0.0 and se == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 -1e-300])
+def test_suite_refuses_non_finite_or_negative_separations(bad):
+    with pytest.raises(DataError,
+                       match="^separations must be finite and nonnegative$"):
+        gen_gaussian_suite(2, 1, 10, (1.0, bad, 2.0), seed=0, trials=10_000)
+
+
+def test_suite_needs_three_datasets():
+    suite = gen_gaussian_suite(2, 1, 10, (3.0, 1.0, 0.5), seed=0,
+                               trials=10_000)
+    with pytest.raises(DataError, match="at least 3 datasets"):
+        SyntheticSuite(datasets=suite.datasets[:2],
+                       separations=suite.separations[:2],
+                       oracle_errors=suite.oracle_errors[:2],
+                       oracle_stderrs=suite.oracle_stderrs[:2])

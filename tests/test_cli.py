@@ -619,3 +619,93 @@ def test_mds_loads_no_scipy(tmp_path, capsys):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+BLOBS = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
+SMALL_BENCHMARK = ("benchmark", "--classes", "2", "--dim", "1",
+                   "--per-class", "10", "--separations", "6,2,0.5",
+                   "--trials", "10000", "--M", "10", "--E", "10", "--k", "2")
+
+
+# Each case: argv ({tmp} is the test's directory, which holds a valid
+# embedded.bin dataset), files written over it, and a message in stderr.
+CSV_INPUT = ["descriptors", "--input", "{tmp}/data.csv"]
+BIN_INPUT = ["complexity", "--input", "{tmp}/embedded.bin"]
+REFUSED = {
+    "metric-comma": (["complexity", "--input", str(BLOBS), "--metric", ","],
+                     {}, "no metrics selected"),
+    "separations-comma": (["benchmark", "--separations", ","], {},
+                          "empty separation list"),
+    "csv-label-only": (CSV_INPUT, {"data.csv": "label\na\nb\n"},
+                       "need at least one feature column besides 'label'"),
+    "csv-empty": (CSV_INPUT, {"data.csv": ""},
+                  "empty file, header row required"),
+    "csv-header-only": (CSV_INPUT, {"data.csv": "x,label\n"},
+                        "no data rows"),
+    "sidecar-no-labels": (BIN_INPUT,
+                          {"embedded.bin.json": {"rows": 4, "cols": 2}},
+                          "missing key 'labels'"),
+    "sidecar-labels-not-a-string": (
+        BIN_INPUT, {"embedded.bin.json": {"rows": 4, "cols": 2,
+                                          "labels": ["embedded.labels"]}},
+        "labels must name a text file"),
+    "label-count": (BIN_INPUT, {"embedded.labels": "a\nb\na\n"},
+                    "3 labels but matrix declares 4 rows"),
+    "report-not-json": (["mds", "--from-report", "{tmp}/report.json"],
+                        {"report.json": "W = [[1, 0.5], [0.5, 1]]\n"},
+                        "invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_input_exits_2(tmp_path, capsys, case):
+    argv, files, message = REFUSED[case]
+    write_binary_dataset(tmp_path, np.ones((4, 2)), ["a", "b", "a", "b"])
+    for name, content in files.items():
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
+    code, stdout, stderr = main_in_process(
+        capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and message in stderr
+    assert stderr.count("\n") == 1
+
+
+def test_mds_without_dataset_block_labels_by_index(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"matrices": {"W": [[1.0, 0.5],
+                                                     [0.5, 1.0]]}}))
+    coords = tmp_path / "coords.json"
+    code, _, stderr = main_in_process(capsys, "mds", "--from-report",
+                                      str(report), "--out", str(coords))
+    assert code == 0, stderr
+    assert json.loads(coords.read_text())["labels"] == ["0", "1"]
+
+
+@pytest.mark.parametrize("separations, code", [
+    ("1,nan,2", 2), ("1,inf,2", 2), ("1,1e200,2", 0)])
+def test_benchmark_separations_raise_no_warnings(separations, code):
+    # -W turns any numpy RuntimeWarning into a traceback with exit 1.
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *CLI[1:], "benchmark",
+         "--separations", separations, "--trials", "10000", "--classes", "2",
+         "--per-class", "10"], capture_output=True, text=True, timeout=120)
+    assert res.returncode == code, res.stderr
+    if code:
+        assert res.stderr == ("error: separations must be finite and "
+                              "nonnegative\n")
+    else:
+        assert res.stderr == "" and "cmsauls: r=" in res.stdout
+
+
+def test_benchmark_has_no_threads_flag():
+    res = run_cli(*SMALL_BENCHMARK, "--threads", "2")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --threads 2" in res.stderr
+
+
+def test_benchmark_ignores_threads_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SPECTRAL_COMPLEXITY_THREADS", "lots")
+    code, stdout, stderr = main_in_process(capsys, *SMALL_BENCHMARK)
+    assert code == 0 and stderr == ""
+    assert "cmsauls: r=" in stdout

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from spectral_complexity import (DataError, HyperParams, LabeledDataset,
                                  ReductionSpec, class_partition, load_csv,
                                  load_binary, load_dataset)
+from spectral_complexity.ingest import open_input
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -133,6 +135,17 @@ class TestLoadBinary:
         with pytest.raises(DataError, match="JSON object"):
             load_binary(path)
 
+    @pytest.mark.parametrize("key, value", [("rows", True), ("cols", False),
+                                            ("rows", 3.0), ("cols", "3")])
+    def test_sizes_must_be_json_integers(self, tmp_path, key, value):
+        # A 12-byte payload fits rows=1, cols=3, so true would pass as 1.
+        path = self.write_binary(tmp_path, np.ones((1, 3)), ["a"])
+        meta = {"rows": 1, "cols": 3, "labels": "feat.labels", key: value}
+        (tmp_path / "feat.bin.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match="rows and cols must be positive "
+                                            "integers"):
+            load_binary(path)
+
 
 class TestLabeledDataset:
     def test_empty_class_rejected(self):
@@ -170,6 +183,21 @@ class TestLabeledDataset:
             LabeledDataset(features=np.zeros((len(labels), 1)),
                            labels=np.array(labels), class_names=names)
         assert str(err.value) == want
+
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.zeros(4), [0, 1, 0, 1], "features must be 2-D, got shape (4,)"),
+        (np.zeros((4, 1)), [[0, 1], [0, 1]],
+         "labels must be 1-D, got shape (2, 2)"),
+        (np.zeros((4, 1)), [0, 1, 0],
+         "row count mismatch: 4 feature rows, 3 labels"),
+        (np.zeros((1, 1)), [0], "need at least 2 samples, got 1"),
+        (np.zeros((2, 0)), [0, 1], "dataset has no feature columns"),
+    ], ids=["features-1d", "labels-2d", "row-count", "one-sample",
+            "no-columns"])
+    def test_shape_refusals(self, features, labels, message):
+        with pytest.raises(DataError) as err:
+            LabeledDataset(features=features, labels=np.array(labels))
+        assert str(err.value) == message
 
     def test_arrays_frozen(self):
         ds = LabeledDataset(features=np.zeros((2, 1)),
@@ -264,3 +292,103 @@ class TestReductionSpec:
     def test_describe_round_trip(self):
         for text in ("passthrough", "pca:3", "pca:rate=0.9"):
             assert ReductionSpec.parse(text).describe() == text
+
+
+def _parent_load_csv(path, label_column="label"):
+    """load_csv as it was with one float() call per cell: the reference."""
+    def parse_feature(token, path, line_no):
+        try:
+            return float(token)
+        except ValueError:
+            raise DataError(
+                f"{path}: line {line_no}: non-numeric feature value {token!r}"
+            ) from None
+
+    rows, labels, header, label_idx = [], [], None, -1
+    with open_input(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            for record in reader:
+                if not record or all(not cell.strip() for cell in record):
+                    continue
+                if header is None:
+                    header = [cell.strip() for cell in record]
+                    if label_column not in header:
+                        raise DataError(f"{path}: header has no column "
+                                        f"named {label_column!r}")
+                    label_idx = header.index(label_column)
+                    if len(header) < 2:
+                        raise DataError(
+                            f"{path}: need at least one feature column "
+                            f"besides {label_column!r}"
+                        )
+                    continue
+                line_no = reader.line_num
+                if len(record) != len(header):
+                    raise DataError(f"{path}: line {line_no}: expected "
+                                    f"{len(header)} cells, got {len(record)}")
+                labels.append(record[label_idx].strip())
+                rows.append([
+                    parse_feature(cell, path, line_no)
+                    for i, cell in enumerate(record) if i != label_idx
+                ])
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file, header row required")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return LabeledDataset.from_raw_labels(np.array(rows, dtype=np.float64),
+                                          labels)
+
+
+CSV_CASES = {
+    "plain": "x,y,label\n0.5,1,a\n-2e-3,3,b\n",
+    "label-first": "label,x,y\na,1,2\nb,3,4\na,5,6\n",
+    "label-middle": "x,label,y\n1, a ,2\n3,b,4\n",
+    "spaces-and-forms": "x,y,label\n 1.5 ,\t2\t,a\n1_000,+.5e1,b\nInfinity,-0,a\n",
+    "non-ascii-digits": "x,label\n١٢,a\n3,b\n",
+    "quoted-multi-line": 'x,y,label\n1,2,"two\nlines"\n3,4,b\n5,oops,b\n',
+    "bad-first-cell": "x,y,label\n1,2,a\nnope,also,b\n",
+    "bad-last-cell": "label,x,y,z\na,1,2,3\nb,4,5,\n",
+    "bad-after-label": "x,label,y\n1,a,2\n3,b, 4 x\n",
+    "empty-cell": "x,y,label\n1,,a\n2,3,b\n",
+    "huge": "x,label\n1e400,a\n2,b\n",
+    "blank-lines": "\n , \nx,label\n\n1,a\n,\n2,b\n",
+    "ragged": "x,y,label\n1,2,a\n1,b\n",
+    "header-only": "x,label\n",
+    "label-only": "label\na\nb\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_CASES))
+def test_load_csv_matches_per_cell_reference(tmp_path, name):
+    path = write(tmp_path, CSV_CASES[name])
+    try:
+        want = _parent_load_csv(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == str(exc)
+        return
+    got = load_csv(path)
+    assert np.array_equal(got.features, want.features)
+    assert got.features.dtype == want.features.dtype
+    assert np.array_equal(got.labels, want.labels)
+    assert got.class_names == want.class_names
+
+
+def test_load_csv_matches_reference_on_random_rows(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((300, 6)) * 10.0 ** rng.integers(
+        -300, 300, (300, 6))
+    lines = ["a,b,label,c,d,e,f"] + [
+        ",".join([repr(float(v)) for v in row[:2]] + [f"c{i % 7}"]
+                 + [repr(float(v)) for v in row[2:]])
+        for i, row in enumerate(values)]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    got, want = load_csv(path), _parent_load_csv(path)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.features, values)
+    assert got.class_names == want.class_names

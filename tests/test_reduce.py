@@ -147,3 +147,8 @@ def test_pca_basis_orthonormal_property(seed, n, d):
     model = fit_pca(ds, ReductionSpec(mode="fixed", n_components=keep))
     gram = model.components @ model.components.T
     assert np.abs(gram - np.eye(keep)).max() < 1e-9
+
+
+def test_fit_pca_refuses_passthrough():
+    with pytest.raises(DataError, match="requires a pca reduction mode"):
+        fit_pca(two_point_diagonal(), ReductionSpec.parse("passthrough"))

@@ -275,3 +275,222 @@ class TestBenchmarkReport:
         parsed = parse_report(str(path))
         emit_report(parsed, str(tmp_path / "again.json"))
         assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
+
+
+# The SVG builders and scalar encoder as they were before the shared
+# _dot, _text and _axes writers; the current ones must write the same bytes.
+def _parent_spectrum_svg(s):
+    from spectral_complexity.report import _line, _svg
+    width, height = 480, 320
+    lam = s.eigenvalues
+    n = lam.size
+    left, right, top, bottom = 50, 15, 15, 35
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+    y_max = float(lam[-1]) if lam[-1] > 0 else 1.0
+
+    def px(i):
+        return left + (plot_w * i / max(1, n - 1))
+
+    def py(v):
+        return top + plot_h * (1.0 - v / y_max)
+
+    points = " ".join(f"{px(i):.2f},{py(float(v)):.2f}" for i, v in enumerate(lam))
+    marks = "".join(
+        f'<circle cx="{px(i):.2f}" cy="{py(float(v)):.2f}" r="3" fill="#1f77b4"/>'
+        for i, v in enumerate(lam)
+    )
+    ticks = []
+    for frac in (0.0, 0.5, 1.0):
+        v = y_max * frac
+        y = py(v)
+        ticks.append(
+            _line(left - 4, f"{y:.2f}", left, f"{y:.2f}")
+            + f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-size="11">{v:.3g}</text>'
+        )
+    x_labels = "".join(
+        f'<text x="{px(i):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
+        f'font-size="11">{i}</text>'
+        for i in range(n)
+    ) if n <= 20 else (
+        f'<text x="{px(0):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
+        f'font-size="11">0</text>'
+        f'<text x="{px(n - 1):.2f}" y="{height - bottom + 16}" '
+        f'text-anchor="middle" font-size="11">{n - 1}</text>'
+    )
+    return _svg(
+        width, height,
+        _line(left, top, left, height - bottom)
+        + _line(left, height - bottom, width - right, height - bottom)
+        + "".join(ticks) + x_labels
+        + f'<polyline points="{points}" fill="none" stroke="#1f77b4" '
+        f'stroke-width="1.5"/>'
+        + marks
+        + f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
+        f'text-anchor="middle" font-size="12">eigenvalue index</text>'
+    )
+
+
+def _parent_mds_svg(m, labels):
+    from html import escape
+    from spectral_complexity.report import _line, _svg
+    width, height = 480, 420
+    coords = m.coordinates
+    names = [str(v) for v in labels]
+    if len(names) != coords.shape[0]:
+        raise DataError(
+            f"{len(names)} labels for {coords.shape[0]} points"
+        )
+    radius = float(np.abs(coords).max())
+    if radius == 0.0:
+        radius = 1.0
+    radius *= 1.2
+    margin = 30
+    span = min(width, height) - 2 * margin
+
+    def px(v):
+        return width / 2 + (v / radius) * (span / 2)
+
+    def py(v):
+        return height / 2 - (v / radius) * (span / 2)
+
+    marks = []
+    for (x, y), name in zip(coords, names):
+        marks.append(
+            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="5" fill="#d62728"/>'
+            f'<text x="{px(x) + 8:.2f}" y="{py(y) - 8:.2f}" font-size="12">'
+            f"{escape(name, quote=False)}</text>"
+        )
+    return _svg(
+        width, height,
+        _line(width / 2, margin, width / 2, height - margin, "#ccc")
+        + _line(margin, height / 2, width - margin, height / 2, "#ccc")
+        + "".join(marks)
+    )
+
+
+def _parent_benchmark_svg(result, metric="cmsauls"):
+    from html import escape
+    from spectral_complexity.report import _line, _svg
+    width, height = 480, 360
+    if metric not in result.metric_values:
+        raise DataError(f"benchmark has no metric {metric!r}")
+    xs = np.asarray(result.oracle_errors)
+    ys = np.asarray(result.metric_values[metric])
+    left, right, top, bottom = 55, 15, 20, 40
+    x_max = float(xs.max()) if xs.max() > 0 else 1.0
+    y_max = float(ys.max()) if ys.max() > 0 else 1.0
+
+    def px(v):
+        return left + (v / x_max) * (width - left - right)
+
+    def py(v):
+        return top + (1.0 - v / y_max) * (height - top - bottom)
+
+    marks = "".join(
+        f'<circle cx="{px(float(x)):.2f}" cy="{py(float(y)):.2f}" r="4" '
+        f'fill="#1f77b4"/>'
+        f'<text x="{px(float(x)) + 6:.2f}" y="{py(float(y)) - 6:.2f}" '
+        f'font-size="10">s={s:g}</text>'
+        for x, y, s in zip(xs, ys, result.separations)
+    )
+    return _svg(
+        width, height,
+        _line(left, top, left, height - bottom)
+        + _line(left, height - bottom, width - right, height - bottom)
+        + f'<text x="{(left + width - right) / 2:.0f}" y="{height - 8}" '
+        f'text-anchor="middle" font-size="12">oracle error</text>'
+        f'<text x="14" y="{(top + height - bottom) / 2:.0f}" font-size="12" '
+        f'transform="rotate(-90 14 {(top + height - bottom) / 2:.0f})" '
+        f'text-anchor="middle">{escape(metric, quote=False)}</text>'
+        + marks
+    )
+
+
+def _parent_scalar(obj):
+    """The scalar branches of the parent's _dump, in their order."""
+    from spectral_complexity.report import _format_float
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    raise DataError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+AWKWARD_NAMES = ["a & b", "<c>", "\"q\" 'r'", "&amp;", "naïve ✓ 名前", ""]
+
+
+class TestWritersMatchParent:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 21, 22, 40, 80])
+    @pytest.mark.parametrize("kind", ["random", "zero", "ties"])
+    def test_spectrum_svg(self, n, kind):
+        from spectral_complexity import Spectrum, spectrum_svg
+        rng = np.random.default_rng(n)
+        if kind == "random":
+            lam = np.concatenate([[0.0], np.sort(rng.exponential(
+                10.0 ** rng.integers(-6, 6), n - 1))])
+        elif kind == "zero":
+            lam = np.zeros(n)
+        else:
+            lam = np.minimum(np.arange(n, dtype=float), 2.5)
+        s = Spectrum(eigenvalues=lam)
+        assert spectrum_svg(s) == _parent_spectrum_svg(s)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 25])
+    @pytest.mark.parametrize("scale", [0.0, 1e-12, 1.0, 1e3])
+    def test_mds_svg(self, n, scale):
+        rng = np.random.default_rng(n)
+        xy = rng.standard_normal((n, 2)) * scale
+        m = InterClassMap(coordinates=xy - xy.mean(axis=0), stress=0.0)
+        names = [AWKWARD_NAMES[i % len(AWKWARD_NAMES)] + str(i)
+                 for i in range(n)]
+        assert mds_svg(m, names) == _parent_mds_svg(m, names)
+
+    @pytest.mark.parametrize("m", [3, 6, 25])
+    @pytest.mark.parametrize("errors", ["random", "zero"])
+    def test_benchmark_svg(self, m, errors):
+        rng = np.random.default_rng(m)
+        seps = tuple(float(v) for v in rng.exponential(3.0, m))
+        errs = (tuple(float(v) for v in rng.uniform(0, 0.5, m))
+                if errors == "random" else (0.0,) * m)
+        result = BenchmarkResult(
+            separations=seps, oracle_errors=errs, oracle_stderrs=(0.0,) * m,
+            metric_values={**{name: tuple(rng.exponential(1.0, m))
+                              for name in AWKWARD_NAMES},
+                           "zero": (0.0,) * m},
+            correlations={})
+        for name in result.metric_values:
+            assert (benchmark_svg(result, name)
+                    == _parent_benchmark_svg(result, name))
+
+    @pytest.mark.parametrize("value", [
+        "", "x y\nz", "naïve ✓ \"q\" \\", True, False, None, 0, -7,
+        10 ** 40, np.int8(-3), np.uint64(2 ** 64 - 1), np.int64(5),
+        0.1, -0.0, np.float32(0.5), np.inf,
+    ], ids=repr)
+    def test_serialize_scalars(self, value):
+        import enum
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        for v in (value, Level.HIGH):
+            assert serialize({"v": v}) == f'{{\n  "v": {_parent_scalar(v)}\n}}\n'
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"x", np.bool_(True), 1j,
+                                       object()], ids=repr)
+    def test_serialize_refuses_what_the_parent_refused(self, value):
+        with pytest.raises(DataError) as new:
+            serialize({"v": value})
+        with pytest.raises(DataError) as old:
+            _parent_scalar(value)
+        assert str(new.value) == str(old.value)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_complexity import (ClassSimilarityMatrix, DataError, HyperParams,
-                                 SimilarityDiagnostics, bray_curtis_symmetrize,
+                                 SimilarityDiagnostics, SymmetricAffinity,
+                                 bray_curtis_symmetrize,
                                  build_laplacian, build_similarity_matrix,
                                  class_pair_expectation, cmsauls, knn_density,
                                  pair_rng, spectrum)
@@ -619,3 +620,42 @@ def test_stage_memory_stays_within_a_few_blocks(classes, rows, dim, M, E):
     finally:
         tracemalloc.stop()
     assert peak < 16 * _BLOCK * 8 == 4 * 2 ** 20
+
+
+def _two_blobs():
+    return embed(make_blobs([(0.0, 0.0), (5.0, 5.0)], per_class=10))
+
+
+# Each case: a call that must raise DataError, and its message.
+REFUSALS = {
+    "negative-similarity": (lambda: ClassSimilarityMatrix(
+        values=[[1.0, -1e-300], [0.5, 1.0]], params=HyperParams(),
+        row_normalized=False, includes_diagonal=True,
+        diagnostics=SimilarityDiagnostics()),
+        "similarity entries must be nonnegative"),
+    "affinity-above-one": (lambda: SymmetricAffinity(
+        values=[[1.0, 1.5], [1.5, 1.0]]), "affinity entries must lie in [0, 1]"),
+    "affinity-negative": (lambda: SymmetricAffinity(
+        values=[[1.0, -0.5], [-0.5, 1.0]]),
+        "affinity entries must lie in [0, 1]"),
+    "affinity-diagonal": (lambda: SymmetricAffinity(
+        values=[[1.0, 0.5], [0.5, 0.9]]), "affinity diagonal must be exactly 1"),
+    "knn-k-zero": (lambda: knn_density(np.zeros(1), np.ones((3, 1)), k=0),
+                   "k must be >= 1, got 0"),
+    "knn-dimension": (lambda: knn_density(np.zeros(2), np.ones((3, 3)), k=1),
+                      "query dimension 2 != target dimension 3"),
+    "pair-out-of-range": (lambda: class_pair_expectation(
+        0, 2, _two_blobs(), HyperParams(M=5, E=5), pair_rng(0, 0, 2)),
+        "class pair (0, 2) is out of range"),
+    "pair-negative": (lambda: class_pair_expectation(
+        -1, 0, _two_blobs(), HyperParams(M=5, E=5), pair_rng(0, 0, 0)),
+        "class pair (-1, 0) is out of range"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(DataError) as err:
+        call()
+    assert str(err.value) == message
