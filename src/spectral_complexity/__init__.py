@@ -28,7 +28,7 @@ from .spectral import (ComplexityScores, Laplacian, Spectrum, auls,
                        build_laplacian, cmsauls, compute_scores, csg,
                        scaled_area_increments, spectrum)
 
-__version__ = "0.1.0"
+from .report import TOOL_VERSION as __version__
 
 __all__ = [
     "BenchmarkResult", "ClassSimilarityMatrix", "ComplexityScores",

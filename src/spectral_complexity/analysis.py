@@ -55,7 +55,8 @@ class InterClassMap:
         if coords.ndim != 2 or coords.shape[1] != 2 or not np.isfinite(coords).all():
             raise DataError("coordinates must be a finite (n, 2) array, "
                             f"got shape {coords.shape}")
-        if np.abs(coords.mean(axis=0)).max() > 1e-9:
+        tol = 1e-9 * np.abs(coords).max(initial=1.0)
+        if np.abs(coords.mean(axis=0)).max() > tol:
             raise DataError("coordinates must be centered at the origin")
         if not 0.0 <= self.stress < np.inf:
             raise DataError(f"stress must be finite and >= 0, got {self.stress}")
@@ -94,6 +95,8 @@ def pearson(x, y) -> CorrelationResult:
     m = xv.size
     if m < 3:
         raise DataError(f"need at least 3 points, got {m}")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise NumericError("non-finite value: correlation undefined")
     # Scaling each side by the power of two that brings its largest |value|
     # into [0.5, 1) is exact, so r is unchanged, and neither the means nor
     # the sums of squares below can overflow.
@@ -150,11 +153,8 @@ def classical_mds(U: np.ndarray) -> InterClassMap:
     # would leak an uncentered axis; rank-deficient inputs get a true 0.
     top[top < 1e-10 * max(1.0, float(top[0]))] = 0.0
     coords = evecs[:, [-1, -2]] * np.sqrt(top)
-    for axis in range(2):
-        col = coords[:, axis]
-        peak = int(np.argmax(np.abs(col)))
-        if col[peak] < 0:
-            coords[:, axis] = -col
+    peak = np.abs(coords).argmax(axis=0)
+    coords *= np.where(coords[peak, [0, 1]] < 0, -1.0, 1.0)
     iu, ju = np.triu_indices(n, k=1)
     dist = np.sqrt(((coords[iu] - coords[ju]) ** 2).sum(axis=1))
     stress = float(((U[iu, ju] - dist) ** 2).sum())
@@ -176,13 +176,10 @@ def _simplex_vertices(n: int, dim: int) -> np.ndarray:
         basis[k - 1, k] = -k / np.sqrt(k * (k + 1))
     centered = (np.eye(n) - 1.0 / n) / np.sqrt(2.0)
     verts = centered @ basis.T
-    if n - 1 <= dim:
-        out = np.zeros((n, dim))
-        out[:, : n - 1] = verts
-        return out
     folded = np.zeros((n, dim))
-    for j in range(n - 1):
-        folded[:, j % dim] += verts[:, j]
+    np.add.at(folded.T, np.arange(n - 1) % dim, verts.T)
+    if n - 1 <= dim:
+        return folded
     spacing = pdist(folded).min()
     if spacing <= 0:
         raise NumericError(
@@ -271,10 +268,8 @@ def gen_gaussian_suite(n_classes: int, dim: int, per_class: int,
     for idx, s in enumerate(seps):
         means = s * verts
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx, 0]))
-        feats = np.vstack([
-            means[c] + rng.standard_normal((per_class, dim))
-            for c in range(n_classes)
-        ])
+        feats = (np.repeat(means, per_class, axis=0)
+                 + rng.standard_normal((n_classes * per_class, dim)))
         datasets.append(LabeledDataset(features=feats, labels=labels))
         err, se = bayes_error_oracle(
             means, covs, priors, trials, np.random.SeedSequence([seed, idx, 1])
@@ -302,8 +297,8 @@ def run_benchmark(suite: SyntheticSuite, params: HyperParams,
                   include_descriptors: bool = False) -> BenchmarkResult:
     """Score every suite dataset and correlate each metric with the oracle.
 
-    Metrics with any non-finite value (f1 can be +inf) are excluded
-    from correlation and listed in skipped_metrics.
+    Metrics that pearson refuses, for a non-finite value (f1 can be
+    +inf) or zero variance, are listed in skipped_metrics instead.
     """
     names = METRICS + (DESCRIPTORS if include_descriptors else ())
     columns: dict[str, list[float]] = {name: [] for name in names}
@@ -319,9 +314,6 @@ def run_benchmark(suite: SyntheticSuite, params: HyperParams,
     correlations: dict[str, CorrelationResult] = {}
     skipped: list[str] = []
     for name, values in columns.items():
-        if not all(np.isfinite(values)):
-            skipped.append(name)
-            continue
         try:
             correlations[name] = pearson(values, suite.oracle_errors)
         except NumericError:

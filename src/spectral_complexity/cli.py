@@ -78,12 +78,14 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--M", type=int, default=100,
+    p.add_argument("--M", type=int, default=HyperParams.M,
                    help="Monte-Carlo queries per source class")
-    p.add_argument("--E", type=int, default=100,
+    p.add_argument("--E", type=int, default=HyperParams.E,
                    help="target samples per class pair")
-    p.add_argument("--k", type=int, default=3, help="neighbour rank")
-    p.add_argument("--seed", type=int, default=42, help="RNG seed")
+    p.add_argument("--k", type=int, default=HyperParams.k,
+                   help="neighbour rank")
+    p.add_argument("--seed", type=int, default=HyperParams.seed,
+                   help="RNG seed")
 
 
 def run_complexity(args) -> int:

@@ -197,13 +197,10 @@ class LabeledDataset:
     def from_raw_labels(features: np.ndarray, raw_labels) -> "LabeledDataset":
         """Build a dataset re-indexing arbitrary labels by first appearance."""
         raw = [str(v) for v in raw_labels]
-        order: dict[str, int] = {}
-        for v in raw:
-            if v not in order:
-                order[v] = len(order)
+        order = {v: i for i, v in enumerate(dict.fromkeys(raw))}
         labels = np.array([order[v] for v in raw], dtype=np.int64)
         return LabeledDataset(features=np.asarray(features), labels=labels,
-                              class_names=tuple(order.keys()))
+                              class_names=tuple(order))
 
 
 def class_partition(ds: LabeledDataset) -> list[np.ndarray]:

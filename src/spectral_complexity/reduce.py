@@ -35,12 +35,10 @@ class PCAModel:
 
 def _enforce_sign(components: np.ndarray) -> np.ndarray:
     """Flip rows so each component's first non-negligible entry is positive."""
-    out = components.copy()
-    for i in range(out.shape[0]):
-        nz = np.flatnonzero(np.abs(out[i]) > _SIGN_EPS)
-        if nz.size and out[i, nz[0]] < 0:
-            out[i] = -out[i]
-    return out
+    big = np.abs(components) > _SIGN_EPS
+    lead = components[np.arange(len(components)), big.argmax(axis=1)]
+    flip = big.any(axis=1) & (lead < 0)
+    return np.where(flip[:, None], -components, components)
 
 
 def fit_pca(ds: LabeledDataset, spec: ReductionSpec) -> PCAModel:

@@ -58,7 +58,7 @@ class Spectrum:
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
         if vals.ndim != 1:
-            vals = vals.ravel()
+            raise DataError(f"spectrum must be 1-D, got shape {vals.shape}")
         if vals.size == 0 or not np.isfinite(vals).all():
             raise DataError("spectrum must be non-empty and finite")
         if np.any(np.diff(vals) < 0):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -429,3 +431,156 @@ def test_suite_needs_three_datasets():
                        separations=suite.separations[:2],
                        oracle_errors=suite.oracle_errors[:2],
                        oracle_stderrs=suite.oracle_stderrs[:2])
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of each zero."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _parent_simplex_vertices(n, dim):
+    """_simplex_vertices with its separate zero-pad branch for n-1 <= dim:
+    the reference the single fold must match."""
+    basis = np.zeros((n - 1, n))
+    for k in range(1, n):
+        basis[k - 1, :k] = 1.0 / np.sqrt(k * (k + 1))
+        basis[k - 1, k] = -k / np.sqrt(k * (k + 1))
+    centered = (np.eye(n) - 1.0 / n) / np.sqrt(2.0)
+    verts = centered @ basis.T
+    if n - 1 <= dim:
+        out = np.zeros((n, dim))
+        out[:, : n - 1] = verts
+        return out
+    folded = np.zeros((n, dim))
+    for j in range(n - 1):
+        folded[:, j % dim] += verts[:, j]
+    spacing = pdist(folded).min()
+    if spacing <= 0:
+        raise NumericError("collapsed")
+    return folded / spacing
+
+
+def test_simplex_vertices_match_two_branch_parent():
+    for n in range(2, 45):
+        for dim in range(1, 50):
+            try:
+                want = _parent_simplex_vertices(n, dim)
+            except NumericError:
+                with pytest.raises(NumericError):
+                    _simplex_vertices(n, dim)
+                continue
+            assert same_bits(_simplex_vertices(n, dim), want), (n, dim)
+
+
+def _parent_classical_mds(U):
+    """classical_mds with its per-axis sign loop, inputs assumed valid."""
+    n = U.shape[0]
+    C = np.eye(n) - 1.0 / n
+    B = -0.5 * C @ (U * U) @ C
+    evals, evecs = np.linalg.eigh(B)
+    top = np.clip(evals[[-1, -2]], 0.0, None)
+    top[top < 1e-10 * max(1.0, float(top[0]))] = 0.0
+    coords = evecs[:, [-1, -2]] * np.sqrt(top)
+    for axis in range(2):
+        col = coords[:, axis]
+        peak = int(np.argmax(np.abs(col)))
+        if col[peak] < 0:
+            coords[:, axis] = -col
+    iu, ju = np.triu_indices(n, k=1)
+    dist = np.sqrt(((coords[iu] - coords[ju]) ** 2).sum(axis=1))
+    return coords, float(((U[iu, ju] - dist) ** 2).sum())
+
+
+def test_classical_mds_matches_per_axis_sign_loop():
+    rng = np.random.default_rng(23)
+    for trial in range(2000):
+        n = int(rng.integers(2, 13))
+        kind = trial % 4
+        if kind == 0:
+            U = np.zeros((n, n))
+        elif kind == 3:
+            U = rng.uniform(0.0, 2.0, (n, n))
+            U = np.triu(U, 1) + np.triu(U, 1).T
+        else:
+            pts = rng.standard_normal((n, int(rng.integers(1, 4))))
+            if kind == 2:
+                pts[rng.integers(0, n)] = pts[0]
+            U = squareform(pdist(pts * 10.0 ** rng.integers(-3, 4)))
+        coords, stress = _parent_classical_mds(U)
+        got = classical_mds(U)
+        assert same_bits(got.coordinates, coords), trial
+        assert got.stress == stress
+
+
+def _parent_suite(n_classes, dim, per_class, separations, seed, trials):
+    """gen_gaussian_suite's draw of one block per class, stacked: the
+    reference for the single draw over all classes."""
+    verts = _parent_simplex_vertices(n_classes, dim)
+    covs = np.broadcast_to(np.eye(dim), (n_classes, dim, dim))
+    priors = np.full(n_classes, 1.0 / n_classes)
+    feats, errors = [], []
+    for idx, s in enumerate(separations):
+        means = s * verts
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx, 0]))
+        feats.append(np.vstack([
+            means[c] + rng.standard_normal((per_class, dim))
+            for c in range(n_classes)
+        ]))
+        errors.append(bayes_error_oracle(
+            means, covs, priors, trials,
+            np.random.SeedSequence([seed, idx, 1]))[0])
+    return feats, tuple(errors)
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 10), (3, 2, 60), (5, 3, 20),
+                                   (12, 4, 15)])
+def test_suite_draw_matches_per_class_parent(shape):
+    seps = (4.0, 1.0, 0.0, 0.25)
+    feats, errors = _parent_suite(*shape, seps, seed=9, trials=10_000)
+    suite = gen_gaussian_suite(*shape, seps, seed=9, trials=10_000)
+    for ds, want in zip(suite.datasets, feats):
+        assert same_bits(ds.features, want)
+    assert suite.oracle_errors == errors
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pearson_refuses_non_finite_values(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in (([1.0, 2.0, bad], [1.0, 2.0, 3.0]),
+                     ([1.0, 2.0, 3.0], [bad, 2.0, 3.0])):
+            with pytest.raises(NumericError, match="^non-finite value: "
+                               "correlation undefined$"):
+                pearson(x, y)
+
+
+def test_infinite_f1_is_skipped_without_warnings():
+    # The first feature is constant within each class, so f1 is +inf.
+    rng = np.random.default_rng(4)
+    labels = np.repeat([0, 1], 20)
+    datasets = tuple(
+        LabeledDataset(features=np.column_stack(
+            [labels * s, rng.standard_normal(40)]), labels=labels)
+        for s in (1.0, 2.0, 3.0))
+    suite = SyntheticSuite(datasets=datasets, separations=(1.0, 2.0, 3.0),
+                           oracle_errors=(0.3, 0.2, 0.1),
+                           oracle_stderrs=(0.01, 0.01, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_benchmark(suite, HyperParams(M=10, E=10, k=2, seed=4),
+                               include_descriptors=True)
+    assert result.metric_values["f1"] == (np.inf,) * 3
+    assert "f1" in result.skipped_metrics
+    assert "f1" not in result.correlations
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_map_centering_tolerance_scales_with_coordinates(scale):
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        pts = rng.standard_normal((3, 2)) * scale
+        InterClassMap(coordinates=pts - pts.mean(axis=0), stress=0.0)
+    pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]) * scale
+    with pytest.raises(DataError, match="centered"):
+        InterClassMap(coordinates=pts + 1e-3 * scale, stress=0.0)

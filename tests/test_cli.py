@@ -671,6 +671,19 @@ def test_refused_input_exits_2(tmp_path, capsys, case):
     assert stderr.count("\n") == 1
 
 
+
+@pytest.mark.parametrize("delta", [-4, 4])
+def test_bin_payload_size_mismatch_exits_2(tmp_path, capsys, delta):
+    data = write_binary_dataset(tmp_path, np.ones((4, 2)),
+                                ["a", "b", "a", "b"])
+    payload = data.read_bytes()
+    data.write_bytes(payload[:delta] if delta < 0 else payload + b"\0" * delta)
+    code, stdout, stderr = main_in_process(capsys, "complexity", "--input",
+                                           str(data))
+    assert code == 2 and stdout == ""
+    assert stderr == (f"error: {data}: size {32 + delta} bytes does not "
+                      "match rows*cols*4 = 32\n")
+
 def test_mds_without_dataset_block_labels_by_index(tmp_path, capsys):
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"matrices": {"W": [[1.0, 0.5],

@@ -392,3 +392,28 @@ def test_load_csv_matches_reference_on_random_rows(tmp_path):
     assert np.array_equal(got.features, want.features)
     assert np.array_equal(got.features, values)
     assert got.class_names == want.class_names
+
+
+def _parent_label_order(raw_labels):
+    """from_raw_labels' numbering as a first-appearance loop: the
+    reference for the dict.fromkeys form."""
+    raw = [str(v) for v in raw_labels]
+    order = {}
+    for v in raw:
+        if v not in order:
+            order[v] = len(order)
+    return [order[v] for v in raw], tuple(order.keys())
+
+
+def test_from_raw_labels_matches_first_appearance_loop():
+    rng = np.random.default_rng(17)
+    alphabet = ["a", "b", "B", " a", "", "1", "01", "é", "c,d", "0"]
+    for trial in range(500):
+        n = int(rng.integers(2, 40))
+        pool = alphabet if trial % 2 else [0, 1, 1.0, 2, -3, True, "x"]
+        raw = [pool[i] for i in rng.integers(0, len(pool), n)]
+        labels, names = _parent_label_order(raw)
+        if len(names) < 2:
+            continue
+        ds = LabeledDataset.from_raw_labels(np.zeros((n, 1)), raw)
+        assert ds.labels.tolist() == labels and ds.class_names == names

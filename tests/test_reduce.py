@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spectral_complexity import (DataError, HyperParams, LabeledDataset,
                                  NumericError, ReductionSpec, apply_reduction,
                                  fit_pca)
+from spectral_complexity.reduce import _enforce_sign
 
 
 def two_point_diagonal():
@@ -152,3 +153,29 @@ def test_pca_basis_orthonormal_property(seed, n, d):
 def test_fit_pca_refuses_passthrough():
     with pytest.raises(DataError, match="requires a pca reduction mode"):
         fit_pca(two_point_diagonal(), ReductionSpec.parse("passthrough"))
+
+
+def _parent_enforce_sign(components):
+    """_enforce_sign as a per-row loop: the reference for the one mask."""
+    out = components.copy()
+    for i in range(out.shape[0]):
+        nz = np.flatnonzero(np.abs(out[i]) > 1e-9)
+        if nz.size and out[i, nz[0]] < 0:
+            out[i] = -out[i]
+    return out
+
+
+def test_enforce_sign_matches_per_row_loop():
+    # Entries mix signed zeros, values at or under the 1e-9 cut, and
+    # ordinary and large values, so rows with no entry above it occur.
+    pool = np.array([0.0, -0.0, 1e-9, -1e-9, 3e-10, -3e-10, 1e-300,
+                     -1e-300, 2e-9, -2e-9, 1e3, -1e3])
+    rng = np.random.default_rng(13)
+    for trial in range(3000):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 9)))
+        C = rng.choice(pool, shape)
+        mixed = rng.random(shape) < trial % 3 / 3
+        C[mixed] = rng.standard_normal(int(mixed.sum()))
+        got, want = _enforce_sign(C), _parent_enforce_sign(C)
+        assert np.array_equal(got, want), trial
+        assert np.array_equal(np.signbit(got), np.signbit(want)), trial

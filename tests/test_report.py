@@ -1,9 +1,12 @@
 import json
+import re
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectral_complexity
 from spectral_complexity import (BenchmarkResult, CorrelationResult,
                                  DataError, HyperParams, InterClassMap,
                                  NumericError, ReductionSpec, apply_reduction,
@@ -13,7 +16,7 @@ from spectral_complexity import (BenchmarkResult, CorrelationResult,
                                  compute_descriptors, compute_scores,
                                  emit_report, load_csv, matrix_from_report,
                                  mds_svg, parse_report, serialize, spectrum)
-from spectral_complexity.report import _format_float
+from spectral_complexity.report import _format_float, header
 
 from conftest import make_blobs
 
@@ -494,3 +497,11 @@ class TestWritersMatchParent:
         with pytest.raises(DataError) as old:
             _parent_scalar(value)
         assert str(new.value) == str(old.value)
+
+
+def test_package_version_matches_pyproject_and_report():
+    # A regex, not tomllib: Python 3.10 has no TOML reader.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, re.M)
+    assert version == spectral_complexity.__version__
+    assert header("report")["tool_version"] == version

@@ -200,3 +200,9 @@ class TestSpectrumSvg:
         texts = [t.firstChild.data
                  for t in doc.getElementsByTagName("text")]
         assert "24" in texts and "12" not in texts
+
+
+def test_spectrum_refuses_non_1d_input():
+    with pytest.raises(DataError,
+                       match=r"^spectrum must be 1-D, got shape \(2, 1\)$"):
+        Spectrum(eigenvalues=[[0.0], [1.0]])
