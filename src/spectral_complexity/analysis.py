@@ -52,7 +52,8 @@ class InterClassMap:
 
     def __post_init__(self) -> None:
         coords = np.asarray(self.coordinates, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != 2 or not np.isfinite(coords).all():
+        if (coords.ndim != 2 or coords.shape[1] != 2 or not len(coords)
+                or not np.isfinite(coords).all()):
             raise DataError("coordinates must be a finite (n, 2) array, "
                             f"got shape {coords.shape}")
         tol = 1e-9 * np.abs(coords).max(initial=1.0)

@@ -1,10 +1,17 @@
-"""Dimensionality reduction: PCA via SVD, or passthrough.
+"""Dimensionality reduction: PCA via a streamed QR and SVD, or passthrough.
 
-The PCA basis is computed from the singular-value decomposition of the
+The PCA basis comes from the singular-value decomposition of the
 centered data matrix, which matches covariance eigendecomposition but
-conditions better. Component signs follow a fixed convention (first
-coordinate with magnitude above 1e-9 is positive) so results do not
-depend on the eigensolver's arbitrary sign choices.
+conditions better. The matrix is never formed whole: the fit streams
+the rows in blocks through a sequential TSQR (Demmel, Grigori, Hoemmen
+& Langou, SIAM J. Sci. Comput. 2012), stacking the running R factor on
+each centered block and keeping only the R of its QR, and then takes
+the SVD of the final small R, whose singular values and right singular
+vectors are those of the centered data. The projection is written
+block by block into the output. A block holds max(D, 2**19 // D) rows,
+4 MiB of float64 (8192 rows at D = 64). Component signs follow a fixed
+convention (first coordinate with magnitude above 1e-9 is positive) so
+results do not depend on the eigensolver's arbitrary sign choices.
 """
 
 from __future__ import annotations
@@ -20,6 +27,16 @@ from .ingest import HyperParams, LabeledDataset, ReductionMeta, ReductionSpec
 # the sign-defining coordinate of a component.
 _SIGN_EPS = 1e-9
 
+# float64 entries per block of centered rows (4 MiB) in the fit and the
+# projection; a block never holds fewer than D rows.
+_BLOCK = 2 ** 19
+
+
+def _blocks(n: int, dim: int):
+    """Row slices of at most max(dim, _BLOCK // dim) rows covering n rows."""
+    rows = max(dim, _BLOCK // dim)
+    return (slice(start, start + rows) for start in range(0, n, rows))
+
 
 @dataclass(frozen=True)
 class PCAModel:
@@ -30,7 +47,11 @@ class PCAModel:
     explained_variance_ratio: np.ndarray
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.mean) @ self.components.T
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty((len(X), len(self.components)))
+        for rows in _blocks(*X.shape):
+            np.matmul(X[rows] - self.mean, self.components.T, out=out[rows])
+        return out
 
 
 def _enforce_sign(components: np.ndarray) -> np.ndarray:
@@ -55,12 +76,18 @@ def fit_pca(ds: LabeledDataset, spec: ReductionSpec) -> PCAModel:
     X = ds.features
     n, dim = X.shape
     limit = min(n - 1, dim)
-    # Features near the float64 limit overflow the mean or the squared
-    # singular values; the check below turns that into a clean failure.
+    # Features near the float64 limit overflow the mean, the R factor or
+    # the squared singular values; the checks below turn that into a
+    # clean failure.
     with np.errstate(over="ignore", invalid="ignore"):
         mean = X.mean(axis=0)
-        centered = X - mean
-        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        r = np.empty((0, dim))
+        for rows in _blocks(n, dim):
+            r = np.linalg.qr(np.vstack([r, X[rows] - mean]), mode="r")
+        if not np.isfinite(r).all():
+            raise NumericError(
+                "non-finite PCA variance: feature values too large")
+        _, svals, vt = np.linalg.svd(r, full_matrices=False)
         variance = svals ** 2 / (n - 1)
         total = variance.sum()
     if not np.isfinite(total):

@@ -137,10 +137,12 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
     degenerate = radius < eps
     radius = np.where(degenerate, eps, radius)
     # Huge radii overflow the volume to inf, and k / inf is exactly 0; a
-    # volume that underflows to 0 is clamped to the largest density.
+    # volume that underflows to 0 is clamped to the largest density. A
+    # volume that is tiny but nonzero overflows k / denom to inf, which
+    # _pair_means refuses.
     with np.errstate(over="ignore"):
         denom = n_targets * (2.0 * radius) ** dim
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         density = k / denom
     overflow = denom == 0.0
     density[overflow] = np.finfo(np.float64).max

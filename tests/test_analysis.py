@@ -584,3 +584,13 @@ def test_map_centering_tolerance_scales_with_coordinates(scale):
     pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]) * scale
     with pytest.raises(DataError, match="centered"):
         InterClassMap(coordinates=pts + 1e-3 * scale, stress=0.0)
+
+
+def test_map_refuses_empty_coordinates_without_warnings():
+    # An empty map has no mean to check for centering; it is refused by
+    # the shape check before numpy averages zero rows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"finite \(n, 2\) array, "
+                                            r"got shape \(0, 2\)"):
+            InterClassMap(coordinates=np.zeros((0, 2)), stress=0.0)

@@ -507,6 +507,30 @@ def test_similarity_overflow_exits_3_without_warnings(tmp_path, capsys):
                           "float64; try --reduce pca:<d>\n")
 
 
+def test_density_divide_overflow_exits_3_without_warnings(tmp_path, capsys):
+    # Row 1 sits 1e-11 from row 0 on each of 30 axes, so with k=1 the
+    # leave-one-out volume of row 0 is tiny but nonzero and k / volume
+    # passes float64; the pair mean is then refused as an overflow. The
+    # rows are written in full precision: write_csv's 9 decimals would
+    # make rows 0 and 1 coincide.
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((40, 30))
+    feats[1] = feats[0] + 1e-11
+    lines = [",".join(f"x{i}" for i in range(30)) + ",label"]
+    lines += [",".join(map(repr, row.tolist())) + f",{'ab'[i // 20]}"
+              for i, row in enumerate(feats)]
+    data = tmp_path / "near.csv"
+    data.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = main_in_process(
+            capsys, "complexity", "--input", str(data), "--M", "20", "--E",
+            "20", "--k", "1")
+    assert code == 3 and stdout == ""
+    assert stderr.count("\n") == 1 and stderr.startswith("error: ")
+    assert "overflows float64" in stderr
+
+
 def test_bray_curtis_overflow_exits_3_without_warnings(tmp_path, capsys):
     # With one query per pair and raw densities, the all-zero and the
     # all-one class each add one clamped float64 max to their column,

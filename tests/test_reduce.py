@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from spectral_complexity import (DataError, HyperParams, LabeledDataset,
                                  NumericError, ReductionSpec, apply_reduction,
                                  fit_pca)
-from spectral_complexity.reduce import _enforce_sign
+from spectral_complexity.reduce import _BLOCK, _enforce_sign
 
 
 def two_point_diagonal():
@@ -179,3 +181,76 @@ def test_enforce_sign_matches_per_row_loop():
         got, want = _enforce_sign(C), _parent_enforce_sign(C)
         assert np.array_equal(got, want), trial
         assert np.array_equal(np.signbit(got), np.signbit(want)), trial
+
+
+def _full_svd_fit(X, d):
+    """fit_pca in fixed mode as one SVD of the whole centered matrix:
+    the reference for the streamed fit. Returns (mean, components,
+    explained-variance ratios)."""
+    mean = X.mean(axis=0)
+    _, svals, vt = np.linalg.svd(X - mean, full_matrices=False)
+    variance = svals ** 2 / (len(X) - 1)
+    return mean, _enforce_sign(vt[:d]), (variance / variance.sum())[:d]
+
+
+def graded(rng, n, dim):
+    """n rows whose per-axis scales fall from 10 to 0.1, rotated and
+    shifted off the origin, so every component is well separated."""
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    scales = np.geomspace(10.0, 0.1, dim)
+    return (rng.standard_normal((n, dim)) * scales) @ basis.T + 5.0
+
+
+@pytest.mark.parametrize("dim", [8, 32, 64])
+def test_streamed_fit_matches_full_svd_across_blocks(dim):
+    # Three full blocks and one block of a single row.
+    n = 3 * max(dim, _BLOCK // dim) + 1
+    rng = np.random.default_rng(dim)
+    X = graded(rng, n, dim)
+    ds = LabeledDataset(features=X, labels=np.arange(n) % 2)
+    model = fit_pca(ds, ReductionSpec(mode="fixed", n_components=dim))
+    mean, components, ratios = _full_svd_fit(X, dim)
+    assert np.array_equal(model.mean, mean)
+    assert np.allclose(model.components, components, rtol=0.0, atol=1e-12)
+    assert np.allclose(model.explained_variance_ratio, ratios, rtol=1e-12,
+                       atol=0.0)
+
+
+def test_streamed_fit_with_fewer_rows_than_features():
+    rng = np.random.default_rng(8)
+    X = graded(rng, 30, 50)
+    ds = LabeledDataset(features=X, labels=np.arange(30) % 2)
+    model = fit_pca(ds, ReductionSpec(mode="fixed", n_components=29))
+    _, components, ratios = _full_svd_fit(X, 29)
+    assert model.components.shape == (29, 50)
+    assert np.allclose(model.components, components, rtol=0.0, atol=1e-12)
+    assert np.allclose(model.explained_variance_ratio, ratios, rtol=1e-12,
+                       atol=0.0)
+
+
+def test_blocked_transform_matches_whole_projection():
+    rng = np.random.default_rng(4)
+    n = 2 * (_BLOCK // 16) + 5
+    X = graded(rng, n, 16)
+    ds = LabeledDataset(features=X, labels=np.arange(n) % 2)
+    model = fit_pca(ds, ReductionSpec(mode="fixed", n_components=5))
+    got = model.transform(X)
+    assert got.shape == (n, 5)
+    assert np.allclose(got, (X - model.mean) @ model.components.T,
+                       rtol=0.0, atol=1e-12)
+
+
+def test_reduction_memory_stays_below_half_the_input():
+    # A full-size centered copy alone would be X.nbytes; the fit and the
+    # projection hold one block of rows and the (n, d) output.
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((50_000, 64))
+    ds = LabeledDataset(features=X, labels=np.arange(50_000) % 2)
+    params = HyperParams(reduction=ReductionSpec.parse("pca:10"))
+    tracemalloc.start()
+    try:
+        apply_reduction(ds, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 2
