@@ -17,8 +17,41 @@ from .errors import DataError, NumericError
 from .ingest import HyperParams, LabeledDataset, _checked_matrix, _store
 from .reduce import apply_reduction
 from .descriptors import DESCRIPTORS, compute_descriptors
-from .similarity import build_similarity_matrix, bray_curtis_symmetrize
-from .spectral import METRICS, build_laplacian, compute_scores, spectrum
+from .similarity import (ClassSimilarityMatrix, SymmetricAffinity,
+                         build_similarity_matrix, bray_curtis_symmetrize)
+from .spectral import (METRICS, ComplexityScores, Laplacian, Spectrum,
+                       build_laplacian, compute_scores, spectrum)
+
+
+@dataclass(frozen=True)
+class PipelineResult:
+    """What each scoring stage returned for one dataset."""
+
+    emb: LabeledDataset
+    X: ClassSimilarityMatrix
+    W: SymmetricAffinity
+    L: Laplacian
+    spec: Spectrum
+    scores: ComplexityScores
+
+
+def run_pipeline(ds: LabeledDataset, params: HyperParams, *,
+                 row_normalize: bool = True,
+                 include_diagonal: bool = True) -> PipelineResult:
+    """Score one dataset: reduce, class similarity, Bray-Curtis, spectrum.
+
+    The keywords are build_similarity_matrix's. Each stage is looked up
+    as a global of this module at call time, so a wrapper set on
+    `analysis.<stage>` (as bench/trace_job.py sets) sees every call.
+    """
+    emb = apply_reduction(ds, params)
+    X = build_similarity_matrix(emb, params, row_normalize=row_normalize,
+                                include_diagonal=include_diagonal)
+    W = bray_curtis_symmetrize(X)
+    L = build_laplacian(W)
+    spec = spectrum(L)
+    return PipelineResult(emb=emb, X=X, W=W, L=L, spec=spec,
+                          scores=compute_scores(spec))
 
 
 @dataclass(frozen=True)
@@ -304,12 +337,11 @@ def run_benchmark(suite: SyntheticSuite, params: HyperParams,
     names = METRICS + (DESCRIPTORS if include_descriptors else ())
     columns: dict[str, list[float]] = {name: [] for name in names}
     for ds in suite.datasets:
-        emb = apply_reduction(ds, params)
-        X = build_similarity_matrix(emb, params)
-        W = bray_curtis_symmetrize(X)
-        values = asdict(compute_scores(spectrum(build_laplacian(W))))
+        run = run_pipeline(ds, params)
+        values = asdict(run.scores)
         if include_descriptors:
-            values.update(asdict(compute_descriptors(emb)))
+            values.update(asdict(compute_descriptors(run.emb)))
+        del run  # not held while the next dataset is scored
         for name, column in columns.items():
             column.append(values[name])
     correlations: dict[str, CorrelationResult] = {}

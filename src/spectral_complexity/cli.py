@@ -24,6 +24,8 @@ from .reduce import apply_reduction
 from .report import (benchmark_svg, build_benchmark_report, build_report,
                      dataset_block, emit_report, header, matrix_from_report,
                      mds_svg, parse_report, spectrum_svg, write_text)
+# Of these, only METRICS is used here: bench/trace_job.py is the one reader
+# of the five stage names, which it wraps in this namespace by getattr.
 from .similarity import bray_curtis_symmetrize, build_similarity_matrix
 from .spectral import METRICS, build_laplacian, compute_scores, spectrum
 
@@ -94,24 +96,20 @@ def run_complexity(args) -> int:
     threads = _resolve_threads(args)
     metrics = _parse_metrics(args.metric)
     ds = load_dataset(args.input, label_column=args.label_col)
-    emb = apply_reduction(ds, params)
-    X = build_similarity_matrix(emb, params,
+    run = analysis.run_pipeline(ds, params,
                                 row_normalize=not args.no_row_normalize,
                                 include_diagonal=not args.no_diagonal)
-    W = bray_curtis_symmetrize(X)
-    L = build_laplacian(W)
-    spec = spectrum(L)
-    scores = compute_scores(spec)
-    descriptors = compute_descriptors(emb) if args.descriptors else None
+    descriptors = compute_descriptors(run.emb) if args.descriptors else None
     report = build_report(
-        dataset_path=args.input, ds=ds, emb=emb, params=params, X=X, W=W,
-        L=L if args.store_laplacian else None, spec=spec, scores=scores,
-        metrics=metrics, descriptors=descriptors, threads=threads,
+        dataset_path=args.input, ds=ds, emb=run.emb, params=params, X=run.X,
+        W=run.W, L=run.L if args.store_laplacian else None, spec=run.spec,
+        scores=run.scores, metrics=metrics, descriptors=descriptors,
+        threads=threads,
     )
     if args.out:
         emit_report(report, args.out)
     if args.spectrum_svg:
-        write_text(spectrum_svg(spec), args.spectrum_svg)
+        write_text(spectrum_svg(run.spec), args.spectrum_svg)
     print(f"seed={params.seed}")
     for name in metrics:
         print(f"{name}={report['scores'][name]:.17g}")

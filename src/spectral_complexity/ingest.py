@@ -64,7 +64,8 @@ class ReductionSpec:
             return "passthrough"
         if self.mode == "fixed":
             return f"pca:{self.n_components}"
-        return f"pca:rate={self.rate:g}"
+        # repr is the shortest text that parses back to the same float.
+        return f"pca:rate={self.rate!r}"
 
 
 @dataclass(frozen=True)

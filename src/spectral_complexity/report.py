@@ -104,6 +104,14 @@ def parse_report(path: str) -> dict:
     return read_json(path)
 
 
+def _stored_float(v) -> float:
+    """A JSON number (not a bool), or one of the strings "inf" and "-inf"."""
+    if (isinstance(v, (int, float)) and not isinstance(v, bool)
+            or v in ("inf", "-inf")):
+        return float(v)
+    raise TypeError(f"not a stored number: {v!r}")
+
+
 def matrix_from_report(rep: dict, name: str) -> np.ndarray:
     """Recover a stored matrix, mapping "inf"/"-inf" strings back to floats."""
     try:
@@ -115,9 +123,9 @@ def matrix_from_report(rep: dict, name: str) -> np.ndarray:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise bad
     try:
-        values = np.array([[float(v) for v in row] for row in rows],
+        values = np.array([[_stored_float(v) for v in row] for row in rows],
                           dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise bad from None
     if values.ndim != 2 or np.isnan(values).any():
         raise bad

@@ -9,10 +9,16 @@ from scipy.spatial.distance import pdist, squareform
 
 from spectral_complexity import (CorrelationResult, DataError, HyperParams,
                                  InterClassMap, LabeledDataset, NumericError,
-                                 SyntheticSuite, bayes_error_oracle,
-                                 classical_mds, gen_gaussian_suite, pearson,
-                                 rank_correlation, run_benchmark)
+                                 ReductionSpec, SyntheticSuite,
+                                 apply_reduction, bayes_error_oracle,
+                                 bray_curtis_symmetrize, build_laplacian,
+                                 build_similarity_matrix, classical_mds,
+                                 compute_scores, gen_gaussian_suite, pearson,
+                                 rank_correlation, run_benchmark,
+                                 run_pipeline, spectrum)
 from spectral_complexity.analysis import _simplex_vertices
+
+from conftest import make_blobs
 
 PHI_MINUS_ONE = 0.15865525393145707  # standard normal CDF at -1
 
@@ -594,3 +600,33 @@ def test_map_refuses_empty_coordinates_without_warnings():
         with pytest.raises(DataError, match=r"finite \(n, 2\) array, "
                                             r"got shape \(0, 2\)"):
             InterClassMap(coordinates=np.zeros((0, 2)), stress=0.0)
+
+
+@pytest.mark.parametrize("row_normalize", [True, False])
+@pytest.mark.parametrize("include_diagonal", [True, False])
+def test_run_pipeline_matches_the_stage_calls(row_normalize, include_diagonal):
+    ds = make_blobs([(0.0, 0.0, 0.0), (2.0, 0.0, 1.0), (0.0, 2.0, -1.0),
+                     (1.0, 1.0, 0.0)], per_class=30)
+    params = HyperParams(M=20, E=20, k=3, seed=5,
+                         reduction=ReductionSpec.parse("pca:2"))
+    flags = dict(row_normalize=row_normalize,
+                 include_diagonal=include_diagonal)
+    run = run_pipeline(ds, params, **flags)
+    emb = apply_reduction(ds, params)
+    X = build_similarity_matrix(emb, params, **flags)
+    W = bray_curtis_symmetrize(X)
+    L = build_laplacian(W)
+    spec = spectrum(L)
+    scores = compute_scores(spec)
+    assert same_bits(run.emb.features, emb.features)
+    assert run.emb.meta == emb.meta
+    assert same_bits(run.X.values, X.values)
+    assert (run.X.row_normalized, run.X.includes_diagonal) \
+        == (row_normalize, include_diagonal)
+    assert run.X.diagnostics == X.diagnostics
+    assert same_bits(run.W.values, W.values)
+    assert same_bits(run.L.values, L.values)
+    assert same_bits(run.spec.eigenvalues, spec.eigenvalues)
+    assert same_bits(np.array([run.scores.cmsauls, run.scores.csg,
+                               run.scores.auls]),
+                     np.array([scores.cmsauls, scores.csg, scores.auls]))

@@ -396,6 +396,9 @@ class TestMalformedReport:
         7,
         [],
         [1.0, 0.5],
+        [[1.0, "0.5"], ["1e0", 1.0]],
+        [[True, 0.5], [0.5, 1.0]],
+        [[1.0, 10 ** 400], [0.5, 1.0]],
     ])
     def test_bad_matrix_exits_2(self, tmp_path, capsys, matrix):
         path = tmp_path / "report.json"
@@ -464,12 +467,12 @@ def test_unreadable_input_exits_2(tmp_path, capsys, case):
 
 
 def test_memory_error_exits_3(blob_csv, capsys, monkeypatch):
-    from spectral_complexity import cli
+    from spectral_complexity import analysis
 
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "build_similarity_matrix", exhausted)
+    monkeypatch.setattr(analysis, "build_similarity_matrix", exhausted)
     code, _, stderr = main_in_process(capsys, "complexity", "--input",
                                       str(blob_csv))
     assert code == 3
@@ -746,3 +749,22 @@ def test_benchmark_ignores_threads_variable(capsys, monkeypatch):
     code, stdout, stderr = main_in_process(capsys, *SMALL_BENCHMARK)
     assert code == 0 and stderr == ""
     assert "cmsauls: r=" in stdout
+
+
+def test_traced_names_exist_where_the_tracer_looks():
+    # bench/trace_job.py wraps each name of its CLI, ANALYSIS and
+    # DESCRIPTORS tables by getattr on that module; a name that moved away
+    # would otherwise show up only as a traced job with no spans.
+    import importlib.util
+
+    from spectral_complexity import analysis, cli, descriptors
+    path = Path(__file__).resolve().parents[1] / "bench" / "trace_job.py"
+    spec = importlib.util.spec_from_file_location("trace_job", path)
+    trace_job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_job)
+    missing = [f"{module.__name__}.{name}"
+               for module, table in [(cli, trace_job.CLI),
+                                     (analysis, trace_job.ANALYSIS),
+                                     (descriptors, trace_job.DESCRIPTORS)]
+               for name in table if not hasattr(module, name)]
+    assert not missing, f"bench/trace_job.py wraps missing names: {missing}"

@@ -293,6 +293,11 @@ class TestReductionSpec:
         for text in ("passthrough", "pca:3", "pca:rate=0.9"):
             assert ReductionSpec.parse(text).describe() == text
 
+    @pytest.mark.parametrize("rate", [0.123456789, 1e-3, 1.0])
+    def test_describe_keeps_every_digit_of_the_rate(self, rate):
+        spec = ReductionSpec(mode="rate", rate=rate)
+        assert ReductionSpec.parse(spec.describe()) == spec
+
 
 def _parent_load_csv(path, label_column="label"):
     """load_csv as it was with one float() call per cell: the reference."""

@@ -6,10 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectral_complexity import (HyperParams, LabeledDataset, apply_reduction,
-                                 bray_curtis_symmetrize, build_laplacian,
-                                 build_similarity_matrix, compute_scores,
-                                 load_csv, spectrum)
+from spectral_complexity import (HyperParams, LabeledDataset, load_csv,
+                                 run_pipeline)
 
 BLOBS = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
 # Every class of blobs.csv has 100 rows, so the defaults use all of them.
@@ -17,13 +15,10 @@ PARAMS = HyperParams()
 
 
 def run(features, labels):
-    ds = LabeledDataset(features=features, labels=labels)
-    X = build_similarity_matrix(apply_reduction(ds, PARAMS), PARAMS)
-    W = bray_curtis_symmetrize(X)
-    spec = spectrum(build_laplacian(W))
-    scores = compute_scores(spec)
-    return X.values, W.values, spec.eigenvalues, np.array(
-        [scores.cmsauls, scores.csg, scores.auls])
+    out = run_pipeline(LabeledDataset(features=features, labels=labels),
+                       PARAMS)
+    return out.X.values, out.W.values, out.spec.eigenvalues, np.array(
+        [out.scores.cmsauls, out.scores.csg, out.scores.auls])
 
 
 @pytest.fixture(scope="module")

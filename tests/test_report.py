@@ -15,7 +15,8 @@ from spectral_complexity import (BenchmarkResult, CorrelationResult,
                                  build_similarity_matrix,
                                  compute_descriptors, compute_scores,
                                  emit_report, load_csv, matrix_from_report,
-                                 mds_svg, parse_report, serialize, spectrum)
+                                 mds_svg, parse_report, run_pipeline,
+                                 serialize, spectrum)
 from spectral_complexity.report import _format_float, header
 
 from conftest import make_blobs
@@ -163,13 +164,10 @@ class TestReportRoundTrip:
     def test_reduction_provenance(self, blob_csv, path, reduce, recorded):
         ds = load_csv(str(blob_csv))
         params = HyperParams(M=5, E=5, reduction=ReductionSpec.parse(reduce))
-        emb = apply_reduction(ds, params)
-        X = build_similarity_matrix(emb, params)
-        W = bray_curtis_symmetrize(X)
-        spec = spectrum(build_laplacian(W))
-        rep = build_report(dataset_path=path, ds=ds, emb=emb, params=params,
-                           X=X, W=W, L=None, spec=spec,
-                           scores=compute_scores(spec))
+        run = run_pipeline(ds, params)
+        rep = build_report(dataset_path=path, ds=ds, emb=run.emb,
+                           params=params, X=run.X, W=run.W, L=None,
+                           spec=run.spec, scores=run.scores)
         assert (rep["params"]["reduction"], rep["reduction"]["method"]) \
             == recorded
 
