@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -26,12 +27,34 @@ class ReductionSpec:
 
     mode is one of "passthrough", "fixed" (keep n_components axes) or
     "rate" (keep the smallest count whose cumulative explained-variance
-    ratio reaches rate).
+    ratio reaches rate). A mode takes its own field and no other.
     """
 
     mode: str = "passthrough"
     n_components: int | None = None
     rate: float | None = None
+
+    def __post_init__(self) -> None:
+        own = {"passthrough": None, "fixed": "n_components", "rate": "rate"}
+        if self.mode not in own:
+            raise DataError(f"unknown reduction mode {self.mode!r}; "
+                            "expected passthrough, fixed or rate")
+        for name in ("n_components", "rate"):
+            used = name == own[self.mode]
+            if (getattr(self, name) is None) == used:
+                verb = "needs" if used else "takes no"
+                raise DataError(f"reduction mode {self.mode!r} {verb} {name}")
+        n = self.n_components
+        if self.mode == "fixed" and not _is_int(n):
+            raise DataError(f"reduction dimension must be an integer, got {n!r}")
+        if self.mode == "fixed" and n < 1:
+            raise DataError(f"reduction dimension must be >= 1, got {n}")
+        r = self.rate
+        if self.mode == "rate" and (isinstance(r, bool)
+                                    or not isinstance(r, numbers.Real)):
+            raise DataError(f"reduction rate must be a number, got {r!r}")
+        if self.mode == "rate" and not 0.0 < self.rate <= 1.0:
+            raise DataError(f"reduction rate must be in (0, 1], got {self.rate}")
 
     @staticmethod
     def parse(text: str) -> "ReductionSpec":
@@ -45,15 +68,11 @@ class ReductionSpec:
                     rate = float(arg[len("rate="):])
                 except ValueError:
                     raise DataError(f"invalid reduction rate: {arg!r}") from None
-                if not 0.0 < rate <= 1.0:
-                    raise DataError(f"reduction rate must be in (0, 1], got {rate}")
                 return ReductionSpec(mode="rate", rate=rate)
             try:
                 n = int(arg)
             except ValueError:
                 raise DataError(f"invalid reduction dimension: {arg!r}") from None
-            if n < 1:
-                raise DataError(f"reduction dimension must be >= 1, got {n}")
             return ReductionSpec(mode="fixed", n_components=n)
         raise DataError(
             f"unknown reduction {text!r}; expected passthrough, pca:<d> or pca:rate=<r>"
@@ -93,6 +112,10 @@ class HyperParams:
     reduction: ReductionSpec = field(default_factory=ReductionSpec)
 
     def __post_init__(self) -> None:
+        for name in ("M", "E", "k", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.M < 1:
             raise DataError(f"M must be >= 1, got {self.M}")
         if self.E < 1:
@@ -103,6 +126,11 @@ class HyperParams:
             raise DataError(f"k must not exceed E, got k={self.k} E={self.E}")
         if not 0 <= self.seed < 2 ** 64:
             raise DataError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _checked_matrix(values, what: str, *, symmetric: bool = False) -> np.ndarray:

@@ -12,7 +12,9 @@ results are independent of evaluation order.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import groupby
 
 import numpy as np
@@ -140,9 +142,8 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
     # volume that underflows to 0 is clamped to the largest density. A
     # volume that is tiny but nonzero overflows k / denom to inf, which
     # _pair_means refuses.
-    with np.errstate(over="ignore"):
-        denom = n_targets * (2.0 * radius) ** dim
     with np.errstate(divide="ignore", over="ignore"):
+        denom = n_targets * (2.0 * radius) ** dim
         density = k / denom
     overflow = denom == 0.0
     density[overflow] = np.finfo(np.float64).max
@@ -190,45 +191,60 @@ def class_pair_expectation(source: int, target: int, emb: LabeledDataset,
     """
     if not {source, target} <= set(range(emb.n_classes)):
         raise DataError(f"class pair ({source}, {target}) is out of range")
+    if diagnostics is None:
+        diagnostics = SimilarityDiagnostics()
+    return float(_pair_means(emb, params, [(source, target)], lambda p: rng,
+                             diagnostics)[0])
+
+
+def _pair_means(emb: LabeledDataset, params: HyperParams,
+                pairs: list[tuple[int, int]],
+                rng_of: Callable[[tuple[int, int]], np.random.Generator],
+                diagnostics: SimilarityDiagnostics) -> np.ndarray:
+    """Mean density of class j's draw at class i's, for each pair (i, j).
+
+    Pair (i, j) draws M rows of class i, then E of class j, without
+    replacement, from the stream rng_of((i, j)); a smaller class is used
+    whole and the pair recorded. Runs of one draw shape (m, e) are scored
+    in chunks, one _batch_density call each; _BLOCK caps the float64
+    entries of its distances, (P, m, e), and of its rows, (P, m + e, d).
+    Diagnostics take a chunk once its means are finite; NumericError
+    names the first pair whose mean is past the float64 range.
+    """
     rows = class_partition(emb)
-    draw = _draw(rows[source], rows[target], params, rng)
-    values, degenerate = _pair_means(emb, params.k, [(source, target)],
-                                     [draw])
-    if diagnostics is not None:
-        diagnostics.degenerate_densities += degenerate
-        if draw[0].size < params.M or draw[1].size < params.E:
-            diagnostics.replacement_pairs.append((source, target))
-    return float(values[0])
+    m_of, e_of = ([min(cap, r.size) for r in rows]
+                  for cap in (params.M, params.E))
+    means = []
+    for (m, e), run in groupby(pairs, key=lambda p: (m_of[p[0]], e_of[p[1]])):
+        run = list(run)
+        size = max(1, _BLOCK // max(m * e, (m + e) * emb.n_features))
+        for chunk in (run[s:s + size] for s in range(0, len(run), size)):
+            draws = [(rng.choice(rows[i], size=m, replace=False),
+                      rng.choice(rows[j], size=e, replace=False))
+                     for (i, j), rng in zip(chunk, map(rng_of, chunk))]
+            queries, targets = (emb.features[np.stack(side)]
+                                for side in zip(*draws))
+            density, degenerate = _batch_density(queries, targets, params.k,
+                                                 exclude_self=True)
+            # One sum per contiguous row keeps the per-pair summation order.
+            means.append(_row_sums(
+                lambda p: f"similarity of class pair {chunk[p]} overflows "
+                "float64; try --reduce pca:<d>", density) / m)
+            diagnostics.degenerate_densities += degenerate
+            if (m, e) != (params.M, params.E):
+                diagnostics.replacement_pairs.extend(chunk)
+    return np.concatenate(means)
 
 
-def _draw(src_idx: np.ndarray, tgt_idx: np.ndarray, params: HyperParams,
-          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One pair's query and target row indices, drawn without replacement."""
-    m = min(params.M, src_idx.size)
-    e = min(params.E, tgt_idx.size)
-    return (rng.choice(src_idx, size=m, replace=False),
-            rng.choice(tgt_idx, size=e, replace=False))
-
-
-def _pair_means(emb: LabeledDataset, k: int, pairs: list[tuple[int, int]],
-                draws: list[tuple[np.ndarray, np.ndarray]],
-                ) -> tuple[np.ndarray, int]:
-    """Mean density of each pair's draws, all of one (m, e) shape, with
-    the degenerate-density count over all of them. A mean past the
-    float64 range raises NumericError naming the first such pair."""
-    queries = np.stack([q for q, _ in draws])
-    targets = np.stack([t for _, t in draws])
-    density, degenerate = _batch_density(emb.features[queries],
-                                         emb.features[targets], k,
-                                         exclude_self=True)
-    # A sum along each contiguous row keeps the per-pair summation order.
+def _row_sums(refusal: Callable[[int], str], *terms) -> np.ndarray:
+    """Row sums of the elementwise sum of `terms`; the first one past the
+    float64 range raises NumericError(refusal(row))."""
     with np.errstate(over="ignore"):
-        means = density.sum(axis=1) / queries.shape[1]
-    bad = np.flatnonzero(np.isinf(means))
+        sums = reduce(np.add, terms).sum(axis=1)
+    bad = np.flatnonzero(np.isinf(sums))
     if bad.size:
-        raise NumericError(f"similarity of class pair {pairs[bad[0]]} "
-                           "overflows float64; try --reduce pca:<d>")
-    return means, degenerate
+        raise NumericError(refusal(int(bad[0])))
+    return sums
 
 
 def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
@@ -246,40 +262,17 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
     n = emb.n_classes
     pairs = [(i, j) for i in range(n) for j in range(n)
              if include_diagonal or i != j]
-    rows = class_partition(emb)
-
-    def shape(pair: tuple[int, int]) -> tuple[int, int]:
-        i, j = pair
-        return min(params.M, rows[i].size), min(params.E, rows[j].size)
-
-    diagnostics = SimilarityDiagnostics(replacement_pairs=[
-        p for p in pairs if shape(p) != (params.M, params.E)])
+    diagnostics = SimilarityDiagnostics()
     raw = np.zeros((n, n), dtype=np.float64)
-    # Consecutive pairs of one (m, e) shape share a chunk, scored by one
-    # _batch_density call. _BLOCK caps the float64 entries of its
-    # distances, (P, m, e), and of its gathered rows, (P, m + e, d).
-    for (m, e), run in groupby(pairs, key=shape):
-        run = list(run)
-        size = max(1, _BLOCK // max(m * e, (m + e) * emb.n_features))
-        for s in range(0, len(run), size):
-            chunk = run[s:s + size]
-            draws = [_draw(rows[i], rows[j], params,
-                           pair_rng(params.seed, i, j)) for i, j in chunk]
-            values, degenerate = _pair_means(emb, params.k, chunk, draws)
-            raw[tuple(zip(*chunk))] = values
-            diagnostics.degenerate_densities += degenerate
+    raw[tuple(zip(*pairs))] = _pair_means(
+        emb, params, pairs, lambda p: pair_rng(params.seed, *p), diagnostics)
 
     if row_normalize:
-        with np.errstate(over="ignore"):
-            sums = raw.sum(axis=1)
-        bad = np.flatnonzero(np.isinf(sums))
-        if bad.size:
-            raise NumericError(f"similarity row of class {bad[0]} sums past "
-                               "float64; try --reduce pca:<d>")
-        zero_rows = np.flatnonzero(sums == 0.0)
-        diagnostics.zero_mass_rows.extend(int(r) for r in zero_rows)
-        safe = np.where(sums == 0.0, 1.0, sums)
-        raw = raw / safe[:, None]
+        sums = _row_sums(lambda r: f"similarity row of class {r} sums past "
+                         "float64; try --reduce pca:<d>", raw)
+        zero = sums == 0.0
+        diagnostics.zero_mass_rows.extend(np.flatnonzero(zero).tolist())
+        raw = raw / np.where(zero, 1.0, sums)[:, None]
     return ClassSimilarityMatrix(values=raw, params=params,
                                  row_normalized=row_normalize,
                                  includes_diagonal=include_diagonal,
@@ -301,16 +294,11 @@ def bray_curtis_symmetrize(X: ClassSimilarityMatrix) -> SymmetricAffinity:
     for i in range(n - 1):
         # One sum per contiguous row keeps numpy's pairwise summation
         # order, so W matches a column-by-column loop bit for bit.
-        with np.errstate(over="ignore"):
-            num = np.abs(cols[i + 1:] - cols[i]).sum(axis=1)
-            den = (cols[i + 1:] + cols[i]).sum(axis=1)
-        # X is nonnegative, so num <= den term by term: only den can
-        # overflow alone.
-        bad = np.flatnonzero(np.isinf(den))
-        if bad.size:
-            raise NumericError(f"Bray-Curtis sums of class pair "
-                               f"{(i, i + 1 + int(bad[0]))} overflow float64; "
-                               "try --reduce pca:<d>")
+        den = _row_sums(lambda j: f"Bray-Curtis sums of class pair "
+                        f"{(i, i + 1 + j)} overflow float64; "
+                        "try --reduce pca:<d>", cols[i + 1:], cols[i])
+        # X >= 0, so each partial sum of num is at most den's: it is finite.
+        num = np.abs(cols[i + 1:] - cols[i]).sum(axis=1)
         zero = den == 0.0
         zero_pairs.extend((i, i + 1 + int(j)) for j in np.flatnonzero(zero))
         # Rounding can push the ratio a hair past [0, 1].

@@ -480,7 +480,9 @@ def test_memory_error_exits_3(blob_csv, capsys, monkeypatch):
 
 
 def test_pca_variance_overflow_exits_3_without_warnings(tmp_path, capsys):
-    # Finite features whose squared singular values overflow float64.
+    # Finite features whose centred rows overflow the R factor of the
+    # QR fit; test_pca_total_variance_overflow_exits_3 reaches the check
+    # after it.
     big = 1.5e308
     feats = np.array([[big, big], [-big, -big]] * 2 + [[1e307, 0.0]])
     data = write_csv(tmp_path / "huge.csv", feats, [0, 1, 0, 1, 0])
@@ -491,6 +493,20 @@ def test_pca_variance_overflow_exits_3_without_warnings(tmp_path, capsys):
     assert code == 3
     assert stderr.count("\n") == 1
     assert stderr.startswith("error: ") and "non-finite" in stderr
+
+
+def test_pca_total_variance_overflow_exits_3(tmp_path, capsys):
+    # At a feature scale of 1e160 the R factor is finite and only the
+    # total variance, a sum of squared singular values, overflows.
+    feats = np.random.default_rng(4).standard_normal((20, 3)) * 1e160
+    data = write_csv(tmp_path / "wide.csv", feats, np.arange(20) % 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = main_in_process(
+            capsys, "complexity", "--input", str(data), "--reduce", "pca:1")
+    assert (code, stdout) == (3, "")
+    assert stderr == ("error: non-finite PCA variance: "
+                      "feature values too large\n")
 
 
 def test_similarity_overflow_exits_3_without_warnings(tmp_path, capsys):

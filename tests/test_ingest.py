@@ -267,6 +267,23 @@ class TestHyperParams:
         with pytest.raises(DataError):
             HyperParams(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("M", 2.5), ("M", True), ("E", 3.0), ("k", np.float64(2.0)),
+        ("seed", 2.0), ("seed", False), ("k", "3"),
+    ])
+    def test_non_integers_rejected(self, name, value):
+        with pytest.raises(DataError) as err:
+            HyperParams(**{name: value})
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_numpy_integers_accepted(self):
+        from spectral_complexity import run_pipeline
+        from conftest import make_blobs
+        params = HyperParams(M=np.int64(5), E=np.int32(6), k=np.uint8(2),
+                             seed=np.uint64(9))
+        run = run_pipeline(make_blobs([(0.0, 0.0), (3.0, 0.0)]), params)
+        assert np.isfinite(run.X.values).all()
+
 
 class TestReductionSpec:
     def test_parse_passthrough(self):
@@ -297,6 +314,56 @@ class TestReductionSpec:
     def test_describe_keeps_every_digit_of_the_rate(self, rate):
         spec = ReductionSpec(mode="rate", rate=rate)
         assert ReductionSpec.parse(spec.describe()) == spec
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "fixed", "n_components": -1},
+         "reduction dimension must be >= 1, got -1"),
+        ({"mode": "fixed", "n_components": 0},
+         "reduction dimension must be >= 1, got 0"),
+        ({"mode": "fixed", "n_components": 2.0},
+         "reduction dimension must be an integer, got 2.0"),
+        ({"mode": "fixed", "n_components": True},
+         "reduction dimension must be an integer, got True"),
+        ({"mode": "fixed"}, "reduction mode 'fixed' needs n_components"),
+        ({"mode": "rate", "rate": 2.0},
+         "reduction rate must be in (0, 1], got 2.0"),
+        ({"mode": "rate", "rate": -1.0},
+         "reduction rate must be in (0, 1], got -1.0"),
+        ({"mode": "rate"}, "reduction mode 'rate' needs rate"),
+        ({"mode": "rate", "rate": "0.5"},
+         "reduction rate must be a number, got '0.5'"),
+        ({"mode": "rate", "rate": True},
+         "reduction rate must be a number, got True"),
+        ({"mode": "bogus"}, "unknown reduction mode 'bogus'; "
+                            "expected passthrough, fixed or rate"),
+        ({"rate": 0.5}, "reduction mode 'passthrough' takes no rate"),
+        ({"n_components": 2},
+         "reduction mode 'passthrough' takes no n_components"),
+        ({"mode": "fixed", "n_components": 2, "rate": 0.5},
+         "reduction mode 'fixed' takes no rate"),
+        ({"mode": "rate", "rate": 0.5, "n_components": 2},
+         "reduction mode 'rate' takes no n_components"),
+    ])
+    def test_constructor_refuses(self, kwargs, message):
+        with pytest.raises(DataError) as err:
+            ReductionSpec(**kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("pca:0", "reduction dimension must be >= 1, got 0"),
+        ("pca:-3", "reduction dimension must be >= 1, got -3"),
+        ("pca:rate=1.5", "reduction rate must be in (0, 1], got 1.5"),
+        ("pca:rate=0", "reduction rate must be in (0, 1], got 0.0"),
+        ("pca:rate=nan", "reduction rate must be in (0, 1], got nan"),
+    ])
+    def test_parse_range_messages(self, text, message):
+        with pytest.raises(DataError) as err:
+            ReductionSpec.parse(text)
+        assert str(err.value) == message
+
+    def test_numpy_integer_dimension_accepted(self):
+        spec = ReductionSpec(mode="fixed", n_components=np.int64(3))
+        assert spec.describe() == "pca:3"
 
 
 def _parent_load_csv(path, label_column="label"):

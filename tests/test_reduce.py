@@ -129,7 +129,8 @@ class TestApplyReduction:
 
 
     def test_non_finite_projection_is_numeric_error(self):
-        # Finite inputs whose projection onto (1, 1)/sqrt(2) overflows.
+        # Finite inputs whose centred rows overflow the R factor of the
+        # QR fit: the first of fit_pca's two overflow checks refuses them.
         big = 1.5e308
         ds = LabeledDataset(features=[[big, big], [-big, -big]] * 2 + [[1e307, 0.0]],
                             labels=[0, 1, 0, 1, 0])
@@ -137,6 +138,20 @@ class TestApplyReduction:
         with np.errstate(all="ignore"), pytest.raises(NumericError,
                                                       match="non-finite"):
             apply_reduction(ds, params)
+
+    def test_variance_overflow_past_a_finite_r_is_numeric_error(self):
+        # At a feature scale of 1e160 the R factor is finite, but its
+        # squared singular values overflow the total variance: the second
+        # check refuses it, with no warning.
+        feats = np.random.default_rng(4).standard_normal((20, 3)) * 1e160
+        ds = LabeledDataset(features=feats, labels=np.arange(20) % 2)
+        r = np.linalg.qr(feats - feats.mean(axis=0), mode="r")
+        assert np.isfinite(r).all()
+        params = HyperParams(reduction=ReductionSpec.parse("pca:1"))
+        with pytest.raises(NumericError) as err:
+            apply_reduction(ds, params)
+        assert str(err.value) == ("non-finite PCA variance: "
+                                  "feature values too large")
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),

@@ -597,6 +597,149 @@ class TestBatchedAgainstPerPairLoop:
         assert str(ref.value) == "k=3 exceeds usable target count 2"
 
 
+# The similarity stage as it stood before one routine drew and scored
+# every pair: a per-pair draw helper, a shape closure that both lists the
+# pairs of a class used whole and batches the pairs, one batch-mean
+# helper, and a Bray-Curtis loop that checks its own sums. The stage
+# must match it with ==.
+def _parent_draw(src_idx, tgt_idx, params, rng):
+    m = min(params.M, src_idx.size)
+    e = min(params.E, tgt_idx.size)
+    return (rng.choice(src_idx, size=m, replace=False),
+            rng.choice(tgt_idx, size=e, replace=False))
+
+
+def _parent_pair_means(emb, k, pairs, draws):
+    from spectral_complexity import NumericError
+    queries = np.stack([q for q, _ in draws])
+    targets = np.stack([t for _, t in draws])
+    density, degenerate = _batch_density(emb.features[queries],
+                                         emb.features[targets], k,
+                                         exclude_self=True)
+    with np.errstate(over="ignore"):
+        means = density.sum(axis=1) / queries.shape[1]
+    bad = np.flatnonzero(np.isinf(means))
+    if bad.size:
+        raise NumericError(f"similarity of class pair {pairs[bad[0]]} "
+                           "overflows float64; try --reduce pca:<d>")
+    return means, degenerate
+
+
+def _parent_similarity(emb, params, row_normalize=True,
+                       include_diagonal=True):
+    from itertools import groupby
+    from spectral_complexity import class_partition
+    from spectral_complexity.similarity import _BLOCK
+    n = emb.n_classes
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if include_diagonal or i != j]
+    rows = class_partition(emb)
+
+    def shape(pair):
+        i, j = pair
+        return min(params.M, rows[i].size), min(params.E, rows[j].size)
+
+    diagnostics = SimilarityDiagnostics(replacement_pairs=[
+        p for p in pairs if shape(p) != (params.M, params.E)])
+    raw = np.zeros((n, n), dtype=np.float64)
+    for (m, e), run in groupby(pairs, key=shape):
+        run = list(run)
+        size = max(1, _BLOCK // max(m * e, (m + e) * emb.n_features))
+        for s in range(0, len(run), size):
+            chunk = run[s:s + size]
+            draws = [_parent_draw(rows[i], rows[j], params,
+                                  pair_rng(params.seed, i, j))
+                     for i, j in chunk]
+            values, degenerate = _parent_pair_means(emb, params.k, chunk,
+                                                    draws)
+            raw[tuple(zip(*chunk))] = values
+            diagnostics.degenerate_densities += degenerate
+    if row_normalize:
+        sums = raw.sum(axis=1)
+        zero_rows = np.flatnonzero(sums == 0.0)
+        diagnostics.zero_mass_rows.extend(int(r) for r in zero_rows)
+        raw = raw / np.where(sums == 0.0, 1.0, sums)[:, None]
+    return raw, diagnostics
+
+
+def _parent_bray_curtis(values):
+    cols = np.ascontiguousarray(values.T)
+    n = cols.shape[0]
+    W = np.ones((n, n), dtype=np.float64)
+    zero_pairs = []
+    for i in range(n - 1):
+        num = np.abs(cols[i + 1:] - cols[i]).sum(axis=1)
+        den = (cols[i + 1:] + cols[i]).sum(axis=1)
+        zero = den == 0.0
+        zero_pairs.extend((i, i + 1 + int(j)) for j in np.flatnonzero(zero))
+        w = np.clip(1.0 - num / np.where(zero, 1.0, den), 0.0, 1.0)
+        w[zero] = 1.0
+        W[i, i + 1:] = W[i + 1:, i] = w
+    return W, zero_pairs
+
+
+def far_pairs():
+    """Mixed class sizes in d=40, with two wide classes: every density at
+    or of a wide class is 0, so with the diagonal skipped their rows and
+    columns are all zero."""
+    from spectral_complexity import LabeledDataset
+    ds = mixed_classes(40)
+    wide = np.random.default_rng(3).normal(0.0, 1e9, (30, 40))
+    return LabeledDataset(features=np.vstack([ds.features, wide]),
+                          labels=np.append(ds.labels, [ds.n_classes] * 30))
+
+
+@pytest.mark.parametrize("make, params, row_normalize, include_diagonal", [
+    # Every class at least M and E rows: one run, nothing recorded.
+    (lambda: make_blobs([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 2.0, 1.0),
+                         (3.0, 3.0, 3.0)], per_class=50, seed=12),
+     HyperParams(M=30, E=40, k=3, seed=12), True, True),
+    # Mixed sizes: many runs of different draw shapes.
+    (lambda: mixed_classes(8), HyperParams(M=20, E=25, k=3, seed=8),
+     True, True),
+    (far_pairs, HyperParams(M=20, E=25, k=3, seed=40), True, False),
+    (lambda: mixed_classes(3), HyperParams(M=20, E=25, k=3, seed=3),
+     False, True),
+], ids=["full-classes", "mixed-sizes", "no-diagonal", "raw"])
+def test_stage_equals_per_pair_draw_reference(make, params, row_normalize,
+                                              include_diagonal):
+    from spectral_complexity import class_partition
+    emb = make()
+    X = build_similarity_matrix(emb, params, row_normalize=row_normalize,
+                                include_diagonal=include_diagonal)
+    W = bray_curtis_symmetrize(X)
+    raw, diag = _parent_similarity(emb, params, row_normalize,
+                                   include_diagonal)
+    ref_W, zero_pairs = _parent_bray_curtis(raw)
+    assert np.array_equal(X.values, raw)
+    assert np.array_equal(W.values, ref_W)
+    assert X.diagnostics.degenerate_densities == diag.degenerate_densities
+    assert X.diagnostics.replacement_pairs == diag.replacement_pairs
+    assert X.diagnostics.zero_mass_rows == diag.zero_mass_rows
+    assert X.diagnostics.zero_denominator_pairs == zero_pairs
+    full = all(r.size >= max(params.M, params.E)
+               for r in class_partition(emb))
+    assert bool(diag.replacement_pairs) != full
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 0), (1, 4)])
+def test_pair_expectation_equals_per_pair_draw_reference(pair):
+    # Each pair draws a class whole: classes 0 and 4 hold 4 and 6 rows.
+    from spectral_complexity import class_partition
+    emb = mixed_classes(3)
+    params = HyperParams(M=20, E=25, k=3, seed=5)
+    diag = SimilarityDiagnostics(degenerate_densities=2,
+                                 replacement_pairs=[(9, 9)])
+    got = class_pair_expectation(*pair, emb, params, pair_rng(5, *pair), diag)
+    rows = class_partition(emb)
+    draw = _parent_draw(rows[pair[0]], rows[pair[1]], params,
+                        pair_rng(5, *pair))
+    values, degenerate = _parent_pair_means(emb, params.k, [pair], [draw])
+    assert got == float(values[0])
+    assert diag.degenerate_densities == 2 + degenerate
+    assert diag.replacement_pairs == [(9, 9), pair]
+
+
 @pytest.mark.parametrize("classes, rows, dim, M, E", [
     # 6400 pairs: one chunk holding them all would need 78 MiB for its
     # distances alone.
