@@ -83,8 +83,9 @@ class ReductionSpec:
             return "passthrough"
         if self.mode == "fixed":
             return f"pca:{self.n_components}"
-        # repr is the shortest text that parses back to the same float.
-        return f"pca:rate={self.rate!r}"
+        # repr is the shortest text that parses back to the same float;
+        # float() first, as numpy scalars repr as np.float32(...).
+        return f"pca:rate={float(self.rate)!r}"
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ over the matrix columns then produces the symmetric affinity W that the
 spectral stage consumes.
 
 Every class pair gets its own RNG stream derived from (seed, i, j), so
-results are independent of evaluation order.
+results are independent of evaluation order. The stage draws from those
+streams itself, many pairs at once: `_draw` gives the rows that numpy's
+Generator.choice would give on each stream, bit for bit, and
+tests/test_similarity.py checks that against the installed numpy.
 """
 
 from __future__ import annotations
@@ -29,6 +32,21 @@ _DEGENERACY_SCALE = 1e-12
 
 # Float64 entries per array of one batched density call: 2**15 is 256 KiB.
 _BLOCK = 2 ** 15
+
+# numpy's PCG64 multiplier. Each lane steps _STRIDE interleaved copies of
+# its stream at once; _JUMPS[b] takes a state b + 1 steps ahead, as
+# (multiplier, increment multiplier) mod 2**128.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 2 ** 32 - 1
+_STRIDE = 16
+_JUMPS = [(pow(_PCG_MULT, b, 2 ** 128),
+           sum(pow(_PCG_MULT, t, 2 ** 128) for t in range(b)) % 2 ** 128)
+          for b in range(1, _STRIDE + 1)]
+
+# One vectorized draw costs about as much as numpy's own draws for
+# _MIN_LANES + (m + e) / 4 pairs, whatever its lane count (measured on
+# 2 cores, m = e from 10 to 100); smaller runs are drawn by numpy.
+_MIN_LANES = 16
 
 
 @dataclass
@@ -193,47 +211,259 @@ def class_pair_expectation(source: int, target: int, emb: LabeledDataset,
         raise DataError(f"class pair ({source}, {target}) is out of range")
     if diagnostics is None:
         diagnostics = SimilarityDiagnostics()
-    return float(_pair_means(emb, params, [(source, target)], lambda p: rng,
-                             diagnostics)[0])
+    rows = class_partition(emb)
+    m_of, e_of = _draw_sizes(rows, params)
+    queries = rng.choice(rows[source], size=m_of[source], replace=False)
+    targets = rng.choice(rows[target], size=e_of[target], replace=False)
+    return float(_pair_means(emb, params, [(source, target)], queries[None],
+                             targets[None], diagnostics)[0])
+
+
+def _draw_sizes(rows: list[np.ndarray],
+                params: HyperParams) -> tuple[list[int], list[int]]:
+    """Rows each class gives as queries and as targets: M and E, or the
+    whole class when it is smaller."""
+    return tuple([min(cap, r.size) for r in rows]
+                 for cap in (params.M, params.E))
 
 
 def _pair_means(emb: LabeledDataset, params: HyperParams,
-                pairs: list[tuple[int, int]],
-                rng_of: Callable[[tuple[int, int]], np.random.Generator],
+                pairs: list[tuple[int, int]], queries: np.ndarray,
+                targets: np.ndarray,
                 diagnostics: SimilarityDiagnostics) -> np.ndarray:
     """Mean density of class j's draw at class i's, for each pair (i, j).
 
-    Pair (i, j) draws M rows of class i, then E of class j, without
-    replacement, from the stream rng_of((i, j)); a smaller class is used
-    whole and the pair recorded. Runs of one draw shape (m, e) are scored
-    in chunks, one _batch_density call each; _BLOCK caps the float64
-    entries of its distances, (P, m, e), and of its rows, (P, m + e, d).
-    Diagnostics take a chunk once its means are finite; NumericError
-    names the first pair whose mean is past the float64 range.
+    Row p of queries (P, m) and targets (P, e) holds pair p's draws;
+    pairs whose draw is smaller than (M, E) used a class whole and are
+    recorded. The pairs are scored in chunks, one _batch_density call
+    each; _BLOCK caps the float64 entries of its distances, (P, m, e),
+    and of its rows, (P, m + e, d). Diagnostics take a chunk once its
+    means are finite; NumericError names the first pair whose mean is
+    past the float64 range.
     """
-    rows = class_partition(emb)
-    m_of, e_of = ([min(cap, r.size) for r in rows]
-                  for cap in (params.M, params.E))
+    (m, e), feats = (queries.shape[1], targets.shape[1]), emb.features
+    size = max(1, _BLOCK // max(m * e, (m + e) * emb.n_features))
     means = []
-    for (m, e), run in groupby(pairs, key=lambda p: (m_of[p[0]], e_of[p[1]])):
-        run = list(run)
-        size = max(1, _BLOCK // max(m * e, (m + e) * emb.n_features))
-        for chunk in (run[s:s + size] for s in range(0, len(run), size)):
-            draws = [(rng.choice(rows[i], size=m, replace=False),
-                      rng.choice(rows[j], size=e, replace=False))
-                     for (i, j), rng in zip(chunk, map(rng_of, chunk))]
-            queries, targets = (emb.features[np.stack(side)]
-                                for side in zip(*draws))
-            density, degenerate = _batch_density(queries, targets, params.k,
-                                                 exclude_self=True)
-            # One sum per contiguous row keeps the per-pair summation order.
-            means.append(_row_sums(
-                lambda p: f"similarity of class pair {chunk[p]} overflows "
-                "float64; try --reduce pca:<d>", density) / m)
-            diagnostics.degenerate_densities += degenerate
-            if (m, e) != (params.M, params.E):
-                diagnostics.replacement_pairs.extend(chunk)
+    for s in range(0, len(pairs), size):
+        chunk = pairs[s:s + size]
+        density, degenerate = _batch_density(
+            feats[queries[s:s + size]], feats[targets[s:s + size]],
+            params.k, exclude_self=True)
+        # One sum per contiguous row keeps the per-pair summation order.
+        means.append(_row_sums(
+            lambda p: f"similarity of class pair {chunk[p]} overflows "
+            "float64; try --reduce pca:<d>", density) / m)
+        diagnostics.degenerate_densities += degenerate
+        if (m, e) != (params.M, params.E):
+            diagnostics.replacement_pairs.extend(chunk)
     return np.concatenate(means)
+
+
+def _split(values) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) uint64 halves of 128-bit integers, as columns."""
+    return (np.array([[v >> 64] for v in values], np.uint64),
+            np.array([[v & 2 ** 64 - 1] for v in values], np.uint64))
+
+
+def _mul128(ah, al, bh, bl):
+    """a * b mod 2**128 on (high, low) uint64 arrays."""
+    a0, a1, b0, b1 = al & _M32, al >> 32, bl & _M32, bl >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    carry = a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _M32) >> 32)
+    return carry + al * bh + ah * bl, al * bl
+
+
+def _add128(ah, al, bh, bl):
+    """a + b mod 2**128 on (high, low) uint64 arrays."""
+    low = al + bl
+    return ah + bh + (low < bl), low
+
+
+def _seed_states(seed: int, src: np.ndarray, tgt: np.ndarray) -> list:
+    """SeedSequence([seed, src, tgt]).generate_state(4, np.uint64) per lane,
+    as four uint64 arrays: numpy's hash mix on uint32 lanes.
+
+    A seed below 2**64, as HyperParams requires, and two class indices
+    make at most four entropy words, the size of numpy's pool.
+    """
+    seed = int(seed)
+    entropy = [np.full(src.size, seed >> s & _M32, np.uint32)
+               for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [src.astype(np.uint32), tgt.astype(np.uint32)]
+    entropy += [np.zeros(src.size, np.uint32)] * (4 - len(entropy))
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * 0x931E8875 & _M32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * 0xCA01F9DD - y * 0x4973F715
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy]
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                pool[d] = mix(pool[d], hashmix(pool[s]))
+    const, state = 0x8B51F9DD, []
+    for word in pool * 2:
+        value = word ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return [state[k] | state[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _pcg_words(seed: int, src: np.ndarray, tgt: np.ndarray,
+               count: int) -> np.ndarray:
+    """(2 + count, lanes) uint32: two zero rows, then the first `count`
+    32-bit outputs of each lane's pair_rng(seed, src, tgt) stream.
+
+    PCG64 with its XSL-RR output, each 64-bit output split low half
+    first, as numpy's Generator reads its 32-bit draws.
+    """
+    s0, s1, s2, s3 = _seed_states(seed, src, tgt)
+    # numpy's seeding: inc = 2 * (s2, s3) + 1, and the state is one
+    # step on from inc + (s0, s1).
+    inc_h, inc_l = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    h, l = _add128(*_mul128(*_add128(inc_h, inc_l, s0, s1),
+                            *_split([_PCG_MULT])), inc_h, inc_l)
+    # Row b of (h, l) is the stream b + 1 steps on, and every row steps
+    # _STRIDE at a time, so output b + k * _STRIDE comes from row b.
+    (ah, al), (gh, gl) = (_split(c) for c in zip(*_JUMPS))
+    h, l = _add128(*_mul128(h, l, ah, al), *_mul128(inc_h, inc_l, gh, gl))
+    step, add = (ah[-1], al[-1]), _mul128(inc_h, inc_l, gh[-1], gl[-1])
+    steps = -(-count // (2 * _STRIDE))
+    out = np.zeros((2 + 2 * steps * _STRIDE, src.size), np.uint32)
+    for t in range(2, out.shape[0], 2 * _STRIDE):
+        if t > 2:
+            h, l = _add128(*_mul128(h, l, *step), *add)
+        x, r = h ^ l, h >> 58
+        x = x >> r | x << (64 - r & 63)
+        # Assignment keeps the low 32 bits.
+        out[t:t + 2 * _STRIDE:2], out[t + 1:t + 2 * _STRIDE:2] = x, x >> 32
+    return out[:2 + count]
+
+
+def _floyd(draws: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Floyd's sample per lane: draw t lies in [0, start + t], and one
+    already taken is replaced by start + t. draws is (n, lanes).
+
+    Draw t is taken if an earlier draw equals it, or if it equals
+    start + s for an earlier draw s that was replaced.
+    """
+    n, lanes = draws.shape
+    lane, row = np.arange(lanes), np.arange(n)[:, None]
+    shift = n.bit_length()
+    key = np.sort((draws << shift | row).T, axis=1)
+    # Row n stays False: draws that cannot hit a replaced one link there.
+    taken = np.zeros((n + 1, lanes), bool)
+    flat = taken.reshape(-1)
+    flat[(key[:, 1:] & (1 << shift) - 1) * lanes + lane[:, None]] = (
+        key[:, 1:] >> shift == key[:, :-1] >> shift)
+    s = draws - start
+    link = np.where((s >= 0) & (s < row), s, n) * lanes + lane
+    for t in range(1, n):
+        taken[t] |= flat[link[t]]
+    return np.where(taken[:n], start + row, draws)
+
+
+def _choice_draws(words: np.ndarray, pop: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n - 1 bounded draws of Generator.choice(pop, n,
+    replace=False), one per word, per lane (column): Floyd's n, draw t
+    in [0, pop - n + t], then the shuffle's n - 1, draw t in
+    [0, n - 1 - t]. Returns them as int64, and which lanes rejected a
+    word, whose later draws are then wrong.
+
+    Lemire's method: the draw is the high half of word * (bound + 1);
+    a low half below 2**32 % (bound + 1) is rejected.
+    """
+    lanes = pop.size
+    excl = np.empty(words.shape, np.uint64)
+    excl[:n] = pop - n + 1 + np.arange(n)[:, None]
+    excl[n:] = np.arange(n, 1, -1)[:, None]
+    prod = words * excl
+    low = prod & _M32
+    near = np.flatnonzero(low < excl)
+    reject = np.zeros(lanes, bool)
+    reject[near[low.flat[near] < (1 << 32) % excl.flat[near]] % lanes] = True
+    return np.right_shift(prod, 32, out=prod).view(np.int64), reject
+
+
+def _positions(words: np.ndarray, pop: np.ndarray,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions that Generator.choice(pop, n, replace=False) takes, per
+    lane, from its 2n - 1 words: Floyd's sample, then a Fisher-Yates
+    shuffle. Returns them (n, lanes), and which lanes rejected a word.
+    """
+    lanes = pop.size
+    vals, reject = _choice_draws(words, pop, n)
+    # Floyd on a class used whole gives 0, 1, ..., n - 1.
+    pos = np.repeat(np.arange(n), lanes).reshape(n, lanes)
+    part = np.flatnonzero(pop > n)
+    if part.size:
+        pos[:, part] = _floyd(vals[:n, part], pop[part] - n)
+    flat = pos.reshape(-1)
+    swaps = vals[n:] * lanes + np.arange(lanes)
+    for i, p in zip(range(n - 1, 0, -1), swaps):
+        swapped = flat[p]
+        flat[p] = pos[i]
+        pos[i] = swapped
+    return pos, reject
+
+
+def _window(words: np.ndarray, first: int, count: int,
+            shift: np.ndarray) -> np.ndarray:
+    """Rows first - shift to first - shift + count - 1 of words, for
+    each lane (column) by its shift of 0, 1 or 2."""
+    early, earlier = (words[first - s:first - s + count] for s in (1, 2))
+    return np.where(shift == 0, words[first:first + count],
+                    np.where(shift == 1, early, earlier))
+
+
+def _draw(seed: int, rows: list[np.ndarray], pairs: list[tuple[int, int]],
+          m: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows drawn for each pair (i, j): (P, m) of class i and (P, e) of
+    class j, equal to pair_rng(seed, i, j) followed by
+    choice(rows[i], m, replace=False) and choice(rows[j], e, replace=False).
+
+    numpy itself draws the pairs of a short run, and lanes that leave
+    the lockstep model: a rejected word, or the tail shuffle numpy runs
+    instead of Floyd's algorithm for a draw above 1/50 of a class of
+    more than 10 000 rows.
+    """
+    src, tgt = np.array(pairs).T
+    lanes = src.size
+    redo = np.ones(lanes, bool)
+    if 4 * lanes < 4 * _MIN_LANES + m + e:
+        queries, targets = np.empty((lanes, m), int), np.empty((lanes, e), int)
+    else:
+        sizes = np.array([r.size for r in rows])
+        starts, order = np.cumsum(sizes) - sizes, np.concatenate(rows)
+        pop_q, pop_t = sizes[src], sizes[tgt]
+        # A class used whole draws its first Floyd index from [0, 0],
+        # which takes no word: later draws of that lane read one word
+        # earlier, and the skipped draw reads a zero row.
+        whole_q, whole_t = pop_q == m, pop_t == e
+        words = _pcg_words(seed, src, tgt, 2 * (m + e) - 2)
+        q, reject_q = _positions(_window(words, 2, 2 * m - 1, whole_q),
+                                 pop_q, m)
+        shift_t = whole_q.astype(int) + whole_t
+        t, reject_t = _positions(_window(words, 2 * m + 1, 2 * e - 1, shift_t),
+                                 pop_t, e)
+        queries, targets = order[starts[src] + q].T, order[starts[tgt] + t].T
+        redo = (reject_q | reject_t | (pop_q > 10000) & (m > pop_q // 50)
+                | (pop_t > 10000) & (e > pop_t // 50))
+    for p in np.flatnonzero(redo):
+        rng = pair_rng(seed, int(src[p]), int(tgt[p]))
+        queries[p] = rng.choice(rows[src[p]], size=m, replace=False)
+        targets[p] = rng.choice(rows[tgt[p]], size=e, replace=False)
+    return queries, targets
 
 
 def _row_sums(refusal: Callable[[int], str], *terms) -> np.ndarray:
@@ -262,10 +492,21 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
     n = emb.n_classes
     pairs = [(i, j) for i in range(n) for j in range(n)
              if include_diagonal or i != j]
+    rows = class_partition(emb)
+    m_of, e_of = _draw_sizes(rows, params)
     diagnostics = SimilarityDiagnostics()
+    means = []
+    for (m, e), run in groupby(pairs, key=lambda p: (m_of[p[0]], e_of[p[1]])):
+        run = list(run)
+        # Lanes per draw: its words, products and rows stay a few _BLOCKs.
+        lanes = max(1, _BLOCK // (m + e))
+        for s in range(0, len(run), lanes):
+            batch = run[s:s + lanes]
+            means.append(_pair_means(emb, params, batch,
+                                     *_draw(params.seed, rows, batch, m, e),
+                                     diagnostics))
     raw = np.zeros((n, n), dtype=np.float64)
-    raw[tuple(zip(*pairs))] = _pair_means(
-        emb, params, pairs, lambda p: pair_rng(params.seed, *p), diagnostics)
+    raw[tuple(zip(*pairs))] = np.concatenate(means)
 
     if row_normalize:
         sums = _row_sums(lambda r: f"similarity row of class {r} sums past "

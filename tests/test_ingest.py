@@ -315,6 +315,13 @@ class TestReductionSpec:
         spec = ReductionSpec(mode="rate", rate=rate)
         assert ReductionSpec.parse(spec.describe()) == spec
 
+    @pytest.mark.parametrize("rate", [0.5, 0.9, np.float32(0.5),
+                                      np.float32(0.9), np.float64(0.9)])
+    def test_describe_round_trips_numpy_rates(self, rate):
+        spec = ReductionSpec(mode="rate", rate=rate)
+        parsed = ReductionSpec.parse(spec.describe())
+        assert parsed == spec and parsed.describe() == spec.describe()
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"mode": "fixed", "n_components": -1},
          "reduction dimension must be >= 1, got -1"),

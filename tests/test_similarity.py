@@ -747,6 +747,9 @@ def test_pair_expectation_equals_per_pair_draw_reference(pair):
     # Tiny blocks of 512-column rows: here the gathered rows, not the
     # distances, would fill a chunk sized by distance entries alone.
     (30, 4, 512, 2, 3),
+    # Classes far larger than their draws, the embed-bin shape: every
+    # lane runs Floyd's algorithm, with its larger temporaries.
+    (20, 2500, 12, 100, 100),
 ])
 def test_stage_memory_stays_within_a_few_blocks(classes, rows, dim, M, E):
     import tracemalloc
@@ -763,6 +766,106 @@ def test_stage_memory_stays_within_a_few_blocks(classes, rows, dim, M, E):
     finally:
         tracemalloc.stop()
     assert peak < 16 * _BLOCK * 8 == 4 * 2 ** 20
+
+
+# The stage draws many pairs at once, by modelling numpy's SeedSequence,
+# PCG64 and Generator.choice(replace=False). Each case checks those draws
+# against the installed numpy, so a numpy release that changes its stream
+# (NEP 19 allows it) fails here rather than drifting silently.
+def _numpy_draws(seed, rows, pairs, m, e):
+    draws = [(rng.choice(rows[i], size=m, replace=False),
+              rng.choice(rows[j], size=e, replace=False))
+             for (i, j), rng in ((p, pair_rng(seed, *p)) for p in pairs)]
+    return tuple(np.array(side) for side in zip(*draws))
+
+
+def _class_rows(sizes, seed=0):
+    """Row indices of classes of these sizes, the labels shuffled so
+    that no class holds a contiguous block of rows."""
+    labels = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(len(sizes)), sizes))
+    return [np.flatnonzero(labels == c) for c in range(len(sizes))]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 - 1])
+def test_pcg_words_equal_numpy_stream(seed):
+    from spectral_complexity.similarity import _pcg_words
+    src, tgt = np.array([0, 3, 79, 1]), np.array([0, 5, 2, 79])
+    words = _pcg_words(seed, src, tgt, 101)
+    assert np.array_equal(words[:2], np.zeros((2, 4)))
+    for lane, pair in enumerate(zip(src.tolist(), tgt.tolist())):
+        raw = pair_rng(seed, *pair).bit_generator.random_raw(51)
+        want = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:101]
+        assert np.array_equal(words[2:, lane], want)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 - 1])
+@pytest.mark.parametrize("sizes, M, E, include_diagonal", [
+    ([40] * 6, 40, 40, True),
+    ([4, 50, 12, 30, 6, 40, 25, 60], 20, 25, True),
+    ([4, 50, 12, 30, 6, 40, 25, 60], 20, 25, False),
+    # Draws of one or two rows: no shuffle draw, and classes of one row.
+    ([5, 1, 3, 8] * 5, 1, 2, True),
+], ids=["whole-classes", "mixed-sizes", "no-diagonal", "tiny-draws"])
+def test_vectorized_draws_equal_numpy_choice(monkeypatch, seed, sizes, M, E,
+                                              include_diagonal):
+    from itertools import groupby
+    from spectral_complexity import similarity
+    monkeypatch.setattr(similarity, "_MIN_LANES", -10 ** 6)
+    rows = _class_rows(sizes)
+    n = len(sizes)
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if include_diagonal or i != j]
+    runs = [(shape, list(run)) for shape, run in groupby(
+        pairs, key=lambda p: (min(M, sizes[p[0]]), min(E, sizes[p[1]])))]
+    assert len(runs) > 1 or sizes == [M] * n
+    for (m, e), run in runs:
+        got = similarity._draw(seed, rows, run, m, e)
+        want = _numpy_draws(seed, rows, run, m, e)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed, sizes, draw, pair", [
+    # Lemire's method rejects one word of this pair's target draw.
+    (5, [10_000] * 12, 200, (11, 9)),
+    # Above 10 000 rows and 1/50 of the class, numpy shuffles the tail
+    # of arange(rows) instead of running Floyd's algorithm: here on the
+    # target side only.
+    (5, [12_000, 400, 12_000, 400], 300, (1, 0)),
+], ids=["rejected-word", "tail-shuffle"])
+def test_draws_off_the_lockstep_path_equal_numpy(monkeypatch, seed, sizes,
+                                                 draw, pair):
+    from spectral_complexity import similarity
+    monkeypatch.setattr(similarity, "_MIN_LANES", -10 ** 6)
+    rows = _class_rows(sizes)
+    pairs = [(i, j) for i in range(len(sizes)) for j in range(len(sizes))]
+    assert pair in pairs
+    got = similarity._draw(seed, rows, pairs, draw, draw)
+    want = _numpy_draws(seed, rows, pairs, draw, draw)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_rejected_word_is_detected():
+    from spectral_complexity.similarity import _choice_draws, _pcg_words
+    words = _pcg_words(5, np.array([11]), np.array([9]), 798)
+    pop = np.array([10_000])
+    assert not _choice_draws(words[2:401], pop, 200)[1][0]
+    assert _choice_draws(words[401:800], pop, 200)[1][0]
+
+
+@pytest.mark.parametrize("dim", [1, 8, 40])
+def test_vectorized_stage_matches_per_pair_loop(monkeypatch, dim):
+    from spectral_complexity import similarity
+    monkeypatch.setattr(similarity, "_MIN_LANES", -10 ** 6)
+    emb = mixed_classes(dim)
+    params = HyperParams(M=20, E=25, k=3, seed=dim)
+    X = build_similarity_matrix(emb, params)
+    raw, diag = reference_similarity(emb, params)
+    assert np.array_equal(X.values, raw)
+    assert (X.diagnostics.degenerate_densities
+            == diag.degenerate_densities > 0)
+    assert X.diagnostics.replacement_pairs == diag.replacement_pairs
+    assert X.diagnostics.zero_mass_rows == diag.zero_mass_rows
 
 
 def _two_blobs():
