@@ -14,10 +14,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .ingest import HyperParams, LabeledDataset, _checked_matrix, _store
+from .ingest import (HyperParams, LabeledDataset, _checked_matrix, _store,
+                     class_partition)
 from .reduce import apply_reduction
 from .descriptors import DESCRIPTORS, compute_descriptors
-from .similarity import (ClassSimilarityMatrix, SymmetricAffinity,
+from .similarity import (ClassSimilarityMatrix, SymmetricAffinity, _draw_sizes,
                          build_similarity_matrix, bray_curtis_symmetrize)
 from .spectral import (METRICS, ComplexityScores, Laplacian, Spectrum,
                        build_laplacian, compute_scores, spectrum)
@@ -43,10 +44,20 @@ def run_pipeline(ds: LabeledDataset, params: HyperParams, *,
     The keywords are build_similarity_matrix's. Each stage is looked up
     as a global of this module at call time, so a wrapper set on
     `analysis.<stage>` (as bench/trace_job.py sets) sees every call.
+    NumericError refuses an X that holds no nonzero entry, or whose every
+    density was floored or clamped: Bray-Curtis would turn either into
+    W = 1, the maximum score, whatever the classes are.
     """
     emb = apply_reduction(ds, params)
     X = build_similarity_matrix(emb, params, row_normalize=row_normalize,
                                 include_diagonal=include_diagonal)
+    scored = (sum(_draw_sizes(class_partition(emb), params)[0])
+              * (emb.n_classes - (not include_diagonal)))
+    if not X.values.any() or X.diagnostics.degenerate_densities == scored:
+        raise NumericError("every class-pair density is 0, or every one is "
+                           "floored, at this feature scale, so the score "
+                           "would read its maximum; rescale the features or "
+                           "try --reduce pca:<d>")
     W = bray_curtis_symmetrize(X)
     L = build_laplacian(W)
     spec = spectrum(L)

@@ -26,8 +26,8 @@ from .errors import DataError, NumericError
 from .ingest import (HyperParams, LabeledDataset, _checked_matrix, _store,
                      class_partition)
 
-# Duplicate-point floor: radii below 1e-12 of the target spread count as
-# coincident and are clamped so the hypercube volume stays positive.
+# Radius floor, so duplicate points keep the hypercube volume positive:
+# 1e-12 * max(1, target span), an absolute 1e-12 below a span of 1.
 _DEGENERACY_SCALE = 1e-12
 
 # Float64 entries per array of one batched density call: 2**15 is 256 KiB.
@@ -127,8 +127,9 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
     """
     m, dim = queries.shape[-2:]
     n_targets = targets.shape[-2]
-    # Chebyshev distance as a running maximum over the coordinates, so no
-    # (..., m, e, d) temporary is made; max and abs are exact.
+    # Chebyshev distance as a running max over coordinates, with no
+    # (..., m, e, d) temporary; max and abs are exact. These coordinate-
+    # major copies beat strided views, and a (d, N) gather was no faster.
     q = np.ascontiguousarray(np.moveaxis(queries, -1, 0))[..., None]
     t = np.ascontiguousarray(np.moveaxis(targets, -1, 0))[..., None, :]
     dist = np.abs(q[0] - t[0])
@@ -250,9 +251,8 @@ def _pair_means(emb: LabeledDataset, params: HyperParams,
             feats[queries[s:s + size]], feats[targets[s:s + size]],
             params.k, exclude_self=True)
         # One sum per contiguous row keeps the per-pair summation order.
-        means.append(_row_sums(
-            lambda p: f"similarity of class pair {chunk[p]} overflows "
-            "float64; try --reduce pca:<d>", density) / m)
+        means.append(_row_sums(lambda p: f"similarity of class pair "
+                               f"{chunk[p]} overflows float64", density) / m)
         diagnostics.degenerate_densities += degenerate
         if (m, e) != (params.M, params.E):
             diagnostics.replacement_pairs.extend(chunk)
@@ -468,12 +468,12 @@ def _draw(seed: int, rows: list[np.ndarray], pairs: list[tuple[int, int]],
 
 def _row_sums(refusal: Callable[[int], str], *terms) -> np.ndarray:
     """Row sums of the elementwise sum of `terms`; the first one past the
-    float64 range raises NumericError(refusal(row))."""
+    float64 range raises NumericError(refusal(row) + the --reduce hint)."""
     with np.errstate(over="ignore"):
         sums = reduce(np.add, terms).sum(axis=1)
     bad = np.flatnonzero(np.isinf(sums))
     if bad.size:
-        raise NumericError(refusal(int(bad[0])))
+        raise NumericError(f"{refusal(int(bad[0]))}; try --reduce pca:<d>")
     return sums
 
 
@@ -509,8 +509,8 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
     raw[tuple(zip(*pairs))] = np.concatenate(means)
 
     if row_normalize:
-        sums = _row_sums(lambda r: f"similarity row of class {r} sums past "
-                         "float64; try --reduce pca:<d>", raw)
+        sums = _row_sums(
+            lambda r: f"similarity row of class {r} sums past float64", raw)
         zero = sums == 0.0
         diagnostics.zero_mass_rows.extend(np.flatnonzero(zero).tolist())
         raw = raw / np.where(zero, 1.0, sums)[:, None]
@@ -533,19 +533,17 @@ def bray_curtis_symmetrize(X: ClassSimilarityMatrix) -> SymmetricAffinity:
     W = np.ones((n, n), dtype=np.float64)
     zero_pairs: list[tuple[int, int]] = []
     for i in range(n - 1):
-        # One sum per contiguous row keeps numpy's pairwise summation
-        # order, so W matches a column-by-column loop bit for bit.
+        # num and den sum contiguous rows of one shape in numpy's pairwise
+        # order, as a column-by-column loop does. X >= 0, so each |a - b|
+        # rounds to at most a + b and num <= den: W_ij lies in [0, 1] with
+        # no clip, and is 1 where den is 0, as both columns are then 0.
         den = _row_sums(lambda j: f"Bray-Curtis sums of class pair "
-                        f"{(i, i + 1 + j)} overflow float64; "
-                        "try --reduce pca:<d>", cols[i + 1:], cols[i])
-        # X >= 0, so each partial sum of num is at most den's: it is finite.
+                        f"{(i, i + 1 + j)} overflow float64", cols[i + 1:],
+                        cols[i])
         num = np.abs(cols[i + 1:] - cols[i]).sum(axis=1)
         zero = den == 0.0
         zero_pairs.extend((i, i + 1 + int(j)) for j in np.flatnonzero(zero))
-        # Rounding can push the ratio a hair past [0, 1].
-        w = np.clip(1.0 - num / np.where(zero, 1.0, den), 0.0, 1.0)
-        w[zero] = 1.0
-        W[i, i + 1:] = W[i + 1:, i] = w
+        W[i, i + 1:] = W[i + 1:, i] = 1.0 - num / np.where(zero, 1.0, den)
     # Assigned, not extended, so a repeated call records the same pairs.
     X.diagnostics.zero_denominator_pairs = zero_pairs
     return SymmetricAffinity(values=W)

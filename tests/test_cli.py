@@ -332,10 +332,10 @@ def main_in_process(capsys, *args):
     return code, captured.out, captured.err
 
 
-def write_csv(path, features, labels):
+def write_csv(path, features, labels, fmt="{:.9f}".format):
     lines = [",".join(f"x{i}" for i in range(features.shape[1])) + ",label"]
     for row, lab in zip(features, labels):
-        lines.append(",".join(f"{v:.9f}" for v in row) + f",c{lab}")
+        lines.append(",".join(map(fmt, row.tolist())) + f",c{lab}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -580,13 +580,18 @@ def test_f1_ratio_overflow_prints_inf_without_warnings(tmp_path, capsys):
     assert "f1=inf\n" in stdout
 
 
+def golden_blobs():
+    """Features and labels of the golden blobs.csv."""
+    golden = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
+    rows = list(csv.reader(golden.open()))[1:]  # f1,f2,label,f3,f4,f5
+    return (np.array([r[:2] + r[3:] for r in rows], dtype=float),
+            [r[2] for r in rows])
+
+
 def huge_features_csv(tmp_path, source, scale):
     """The golden blobs, or 60 N(0, I) rows in 3 classes, times scale."""
     if source == "blobs":
-        golden = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
-        rows = list(csv.reader(golden.open()))[1:]  # f1,f2,label,f3,f4,f5
-        feats = np.array([r[:2] + r[3:] for r in rows], dtype=float)
-        labels = [r[2] for r in rows]
+        feats, labels = golden_blobs()
     else:
         rng = np.random.default_rng(0)
         feats, labels = rng.standard_normal((60, 3)), np.arange(60) % 3
@@ -604,6 +609,68 @@ def test_descriptors_on_huge_features_exit_3(tmp_path, capsys, source, scale):
                                                "--input", str(data))
     assert code == 3 and stdout == ""
     assert stderr == "error: feature values too large for the descriptors\n"
+
+
+def scaled_blobs(scale):
+    feats, labels = golden_blobs()
+    return feats * scale, labels
+
+
+def far_apart_classes():
+    """Two 2-D classes of 50 N(0, I) rows, 1e200 apart (the second one's
+    rows all round to one point): every cross-pair volume overflows, so
+    every cross density is 0."""
+    feats = np.random.default_rng(0).standard_normal((100, 2))
+    feats[50:] += 1e200
+    return feats, np.repeat([0, 1], 50)
+
+
+def complexity_on(tmp_path, capsys, data, *flags):
+    """complexity on data() written in full precision, warnings as errors."""
+    path = write_csv(tmp_path / "data.csv", *data(), fmt=repr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main_in_process(capsys, "complexity", "--input", str(path),
+                               *flags)
+
+
+# X carries no information, so Bray-Curtis would give W = 1 and the
+# maximum score: every density is floored (x 1e-13) or 0 (the others;
+# d512 is ROADMAP item 3's five classes of spread 1).
+@pytest.mark.parametrize("data, flags", [
+    (lambda: scaled_blobs(1e-13), ()),
+    (lambda: scaled_blobs(1e110), ()),
+    (far_apart_classes, ("--no-diagonal", "--M", "50", "--E", "50")),
+    (lambda: gaussian_classes(5, 60, 512, 1.0, seed=0),
+     ("--M", "50", "--E", "50")),
+], ids=["blobs-x1e-13", "blobs-x1e110", "far-apart-no-diagonal", "d512"])
+def test_uninformative_similarity_exits_3(tmp_path, capsys, data, flags):
+    code, stdout, stderr = complexity_on(tmp_path, capsys, data, *flags)
+    assert code == 3 and stdout == ""
+    assert stderr.count("\n") == 1 and stderr.startswith("error: ")
+    assert "feature scale" in stderr and "--reduce pca:<d>" in stderr
+
+
+def test_far_apart_classes_with_diagonal_score_0(tmp_path, capsys):
+    # Each class's own density is finite, so X is I.
+    code, stdout, _ = complexity_on(tmp_path, capsys, far_apart_classes,
+                                    "--M", "50", "--E", "50")
+    assert code == 0 and parse_stdout(stdout)["cmsauls"] == "0"
+
+
+def test_partly_floored_densities_still_score(tmp_path, capsys):
+    # ROADMAP item 10's x1e-12: about a fifth of the densities are
+    # floored, not all of them, so the run scores.
+    def data():
+        rng = np.random.default_rng(0)
+        feats = np.vstack([2 * c + rng.standard_normal((100, 3))
+                           for c in range(5)])
+        return feats * 1e-12, np.repeat(np.arange(5), 100)
+    out = tmp_path / "report.json"
+    code, stdout, _ = complexity_on(tmp_path, capsys, data, "--out", str(out))
+    assert code == 0 and np.isfinite(float(parse_stdout(stdout)["cmsauls"]))
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert 0 < diagnostics["degenerate_densities"] < 2500
 
 
 @pytest.mark.parametrize("text,line,message", [

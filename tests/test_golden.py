@@ -3,9 +3,16 @@
 Each case in CASES runs `cli.main` on the inputs in tests/golden/inputs,
 from a temporary directory so every path in a report is relative. The JSON
 and SVG files it writes and its stdout are compared with
-tests/golden/expected; only the "created" timestamp is blanked. Every
-input class has at least M and E rows, so no pair samples a class
-whole.
+tests/golden/expected; only the "created" timestamp is blanked. No
+input class is smaller than M or E, so `replacement_pairs` stays empty,
+but a class of exactly M or E rows is used whole: each 100-row class of
+blobs.csv at the default M=E=100, and each 12-row class of sampler.csv.
+
+sampler.csv holds 24 classes of alternately 12 and 20 rows in d=3 (class
+means N(0, 2^2 I), rows N(mean, I), numpy default_rng(24), rows
+shuffled). At M=E=12 its 576 pairs form one run, long enough for the
+vectorized path of similarity._draw, with whole and partial classes
+mixed; every other case draws runs short enough for numpy's own path.
 
 After an intentional output change, regenerate the expected files with
 
@@ -45,6 +52,9 @@ CASES = {
         "complexity", "--input", "embedded.bin", "--threads", "2",
         "--metric", "csg", "--no-row-normalize",
         "--out", "complexity-bin.json"],
+    "complexity-sampler": [
+        "complexity", "--input", "sampler.csv", "--M", "12", "--E", "12",
+        "--out", "complexity-sampler.json"],
     "benchmark": [
         "benchmark", "--classes", "3", "--dim", "2", "--per-class", "100",
         "--trials", "10000", "--descriptors", "--svg", "benchmark.svg",

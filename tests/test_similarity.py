@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_complexity import (ClassSimilarityMatrix, DataError, HyperParams,
-                                 SimilarityDiagnostics, SymmetricAffinity,
-                                 bray_curtis_symmetrize,
+                                 NumericError, SimilarityDiagnostics,
+                                 SymmetricAffinity, bray_curtis_symmetrize,
                                  build_laplacian, build_similarity_matrix,
                                  class_pair_expectation, cmsauls, knn_density,
                                  pair_rng, spectrum)
@@ -740,6 +740,39 @@ def test_pair_expectation_equals_per_pair_draw_reference(pair):
     assert diag.replacement_pairs == [(9, 9), pair]
 
 
+# Zeros of both signs, subnormals and 1e-300 to 1e300; in about half the
+# examples also entries near the top of the float64 range, whose column
+# sums can overflow.
+_BC_ENTRIES = [st.sampled_from([0.0, -0.0]),
+               st.floats(5e-324, 2.2250738585072014e-308),
+               st.floats(1e-300, 1e300)]
+_BC_NEAR_MAX = st.floats(1e307, np.finfo(np.float64).max)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_bray_curtis_equals_parent_loop(data):
+    n = data.draw(st.integers(2, 7))
+    entries = _BC_ENTRIES + [_BC_NEAR_MAX] * data.draw(st.booleans())
+    values = np.reshape(data.draw(st.lists(st.one_of(entries), min_size=n * n,
+                                           max_size=n * n)), (n, n))
+    values[:, data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    X = TestBrayCurtis().wrap(values)
+    cols = np.ascontiguousarray(values.T)
+    with np.errstate(over="ignore"):
+        overflow = any(np.isinf((cols[i + 1:] + cols[i]).sum(axis=1)).any()
+                       for i in range(n - 1))
+    if overflow:
+        # The parent loop has no refusal: it would return W = 1 there.
+        with pytest.raises(NumericError, match=r"overflow float64; "
+                           r"try --reduce pca:<d>$"):
+            bray_curtis_symmetrize(X)
+        return
+    W, zero_pairs = _parent_bray_curtis(values)
+    assert np.array_equal(bray_curtis_symmetrize(X).values, W)
+    assert X.diagnostics.zero_denominator_pairs == zero_pairs
+
+
 @pytest.mark.parametrize("classes, rows, dim, M, E", [
     # 6400 pairs: one chunk holding them all would need 78 MiB for its
     # distances alone.
@@ -799,6 +832,26 @@ def test_pcg_words_equal_numpy_stream(seed):
         assert np.array_equal(words[2:, lane], want)
 
 
+def _vectorized_and_numpy_draws(seed, sizes, M, E, include_diagonal):
+    """(_draw with the vectorized path forced, numpy's draws) for each run
+    of same-shape pairs, grouped as build_similarity_matrix groups them."""
+    from itertools import groupby
+    from spectral_complexity import similarity
+    rows = _class_rows(sizes)
+    n = len(sizes)
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if include_diagonal or i != j]
+    draws = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(similarity, "_MIN_LANES", -10 ** 6)
+        for (m, e), run in groupby(pairs, key=lambda p: (
+                min(M, sizes[p[0]]), min(E, sizes[p[1]]))):
+            run = list(run)
+            draws.append((similarity._draw(seed, rows, run, m, e),
+                          _numpy_draws(seed, rows, run, m, e)))
+    return draws
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 - 1])
 @pytest.mark.parametrize("sizes, M, E, include_diagonal", [
     ([40] * 6, 40, 40, True),
@@ -807,21 +860,22 @@ def test_pcg_words_equal_numpy_stream(seed):
     # Draws of one or two rows: no shuffle draw, and classes of one row.
     ([5, 1, 3, 8] * 5, 1, 2, True),
 ], ids=["whole-classes", "mixed-sizes", "no-diagonal", "tiny-draws"])
-def test_vectorized_draws_equal_numpy_choice(monkeypatch, seed, sizes, M, E,
+def test_vectorized_draws_equal_numpy_choice(seed, sizes, M, E,
                                               include_diagonal):
-    from itertools import groupby
-    from spectral_complexity import similarity
-    monkeypatch.setattr(similarity, "_MIN_LANES", -10 ** 6)
-    rows = _class_rows(sizes)
-    n = len(sizes)
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if include_diagonal or i != j]
-    runs = [(shape, list(run)) for shape, run in groupby(
-        pairs, key=lambda p: (min(M, sizes[p[0]]), min(E, sizes[p[1]])))]
-    assert len(runs) > 1 or sizes == [M] * n
-    for (m, e), run in runs:
-        got = similarity._draw(seed, rows, run, m, e)
-        want = _numpy_draws(seed, rows, run, m, e)
+    runs = _vectorized_and_numpy_draws(seed, sizes, M, E, include_diagonal)
+    assert len(runs) > 1 or sizes == [M] * len(sizes)
+    for got, want in runs:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(st.integers(1, 40), min_size=2, max_size=6),
+       st.integers(1, 40), st.integers(1, 40), st.booleans())
+def test_vectorized_draws_equal_numpy_choice_property(seed, sizes, M, E,
+                                                       include_diagonal):
+    for got, want in _vectorized_and_numpy_draws(seed, sizes, M, E,
+                                                 include_diagonal):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
