@@ -233,15 +233,60 @@ def _simplex_vertices(n: int, dim: int) -> np.ndarray:
     return folded / spacing
 
 
+def _pairwise_row_sum(rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=0) in numpy's pairwise order along a contiguous axis.
+
+    A running sum below 8 rows, 8 accumulators up to 128, and a split in
+    halves (a multiple of 8 first) past that: the order numpy's add.reduce
+    takes over each column of a Fortran-ordered array, so the result is
+    bit for bit `np.asfortranarray(rows).sum(axis=0)`. Sums in place into
+    rows, and returns a view of its first row.
+    """
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_row_sum(rows[:half])
+        total += _pairwise_row_sum(rows[half:])
+        return total
+    total, acc = rows[0], rows[:min(n, 8)]
+    if n >= 8:
+        for i in range(8, n - n % 8, 8):
+            acc += rows[i:i + 8]
+        acc[::2] += acc[1::2]
+        acc[0] += acc[2]
+        acc[4] += acc[6]
+        total += acc[4]
+    for i in range(1 if n < 8 else n - n % 8, n):
+        total += rows[i]
+    return total
+
+
+def _keep_max(best: np.ndarray, index: np.ndarray, score: np.ndarray,
+              label: int) -> None:
+    """One step of a running argmax over rows, with np.argmax's rules.
+
+    Where score beats best, best takes score and index takes label; feed
+    it rows 0, 1, ... from best = -inf and index = 0, and index ends as
+    np.argmax(axis=0) of the stacked rows: the lowest row wins a tie, and
+    the first NaN wins outright.
+    """
+    better = ~(score <= best)
+    better &= best == best
+    np.copyto(best, score, where=better)
+    np.copyto(index, label, where=better)
+
+
 def bayes_error_oracle(means, covariances, priors, trials: int,
                        seed) -> tuple[float, float]:
     """Monte-Carlo estimate of the minimum achievable error of a mixture.
 
     Draws `trials` labeled samples from the mixture and classifies each
-    by the true prior-weighted densities (ties go to the lowest class
-    index). Returns (error rate, standard error).
+    by the true prior-weighted densities: the lowest class index wins a
+    tie, and a NaN log density wins outright, as in np.argmax. Returns
+    (error rate, standard error). numpy only: the samples are held
+    coordinate-major, (dim, trials), and each class's triangular solve,
+    squared norm and running argmax work on contiguous rows of them.
     """
-    from scipy.linalg import solve_triangular
     mu = np.atleast_2d(np.asarray(means, dtype=np.float64))
     n, dim = mu.shape
     covs = np.asarray(covariances, dtype=np.float64)
@@ -262,23 +307,37 @@ def bayes_error_oracle(means, covariances, priors, trials: int,
             raise NumericError(f"covariance of class {c} is singular") from None
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(trials, pri)
-    blocks = [mu[c] + rng.standard_normal((counts[c], dim)) @ chol[c].T
-              for c in range(n)]
-    X = np.vstack(blocks)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    XT = np.empty((dim, trials))
+    for c in range(n):
+        XT[:, bounds[c]:bounds[c + 1]] = (
+            mu[c] + rng.standard_normal((counts[c], dim)) @ chol[c].T).T
     truth = np.repeat(np.arange(n), counts)
-    scores = np.empty((trials, n))
     with np.errstate(divide="ignore"):
         log_priors = np.log(pri)
+    z = np.empty_like(XT)
+    best = np.full(trials, -np.inf)
+    predicted = np.zeros(trials, dtype=np.intp)
     for c in range(n):
-        diff = X - mu[c]
-        z = solve_triangular(chol[c], diff.T, lower=True)
-        log_det = float(np.log(np.diag(chol[c])).sum())
-        # A distance past the float64 range is an exact -inf log density.
-        with np.errstate(over="ignore"):
-            mahalanobis = (z ** 2).sum(axis=0)
-        scores[:, c] = (log_priors[c] - 0.5 * mahalanobis
-                        - log_det - 0.5 * dim * np.log(2.0 * np.pi))
-    predicted = np.argmax(scores, axis=1)
+        L = chol[c]
+        # Forward substitution, L z = x - mu[c], one coordinate row at a
+        # time; a zero of L adds nothing. A distance past the float64 range
+        # is an exact -inf log density, and a NaN from inf - inf goes to
+        # the argmax without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(dim):
+                np.subtract(XT[i], mu[c, i], out=z[i])
+                for k in np.flatnonzero(L[i, :i]):
+                    z[i] -= L[i, k] * z[k]
+                if L[i, i] != 1.0:
+                    z[i] /= L[i, i]
+            mahalanobis = _pairwise_row_sum(np.square(z, out=z))
+        log_det = float(np.log(np.diag(L)).sum())
+        mahalanobis *= 0.5
+        score = np.subtract(log_priors[c], mahalanobis, out=mahalanobis)
+        score -= log_det
+        score -= 0.5 * dim * np.log(2.0 * np.pi)
+        _keep_max(best, predicted, score, c)
     error = float(np.mean(predicted != truth))
     stderr = float(np.sqrt(error * (1.0 - error) / trials))
     return error, stderr

@@ -160,7 +160,7 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
     # Huge radii overflow the volume to inf, and k / inf is exactly 0; a
     # volume that underflows to 0 is clamped to the largest density. A
     # volume that is tiny but nonzero overflows k / denom to inf, which
-    # _pair_means refuses.
+    # _row_sums refuses.
     with np.errstate(divide="ignore", over="ignore"):
         denom = n_targets * (2.0 * radius) ** dim
         density = k / denom
@@ -177,7 +177,9 @@ def knn_density(query: np.ndarray, targets: np.ndarray, k: int,
     V is the hypercube of side 2*r_k where r_k is the Chebyshev distance
     to the k-th nearest usable target; E is the number of targets as
     passed, before any self-exclusion. With exclude_self, one target at
-    distance exactly 0 is dropped from the neighbour set.
+    distance exactly 0 is dropped from the neighbour set. A volume so
+    small that the density passes the float64 range raises NumericError,
+    as the similarity stage does.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
     pts = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -190,6 +192,8 @@ def knn_density(query: np.ndarray, targets: np.ndarray, k: int,
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     density, degenerate = _batch_density(query[None, :], pts, k, exclude_self)
+    density = _row_sums(lambda _: "kNN density overflows float64",
+                        density[:, None])
     if diagnostics is not None:
         diagnostics.degenerate_densities += degenerate
     return float(density[0])

@@ -421,6 +421,104 @@ def test_oracle_with_overflowing_distance_is_exact():
     assert err == 0.0 and se == 0.0
 
 
+def _parent_bayes_error_oracle(means, covariances, priors, trials, seed):
+    """bayes_error_oracle on a (trials, dim) sample matrix, with scipy's
+    triangular solve and a (trials, n) score matrix; inputs assumed
+    valid. The reference for the coordinate-major version."""
+    from scipy.linalg import solve_triangular
+    mu = np.atleast_2d(np.asarray(means, dtype=np.float64))
+    n, dim = mu.shape
+    covs = np.asarray(covariances, dtype=np.float64)
+    pri = np.asarray(priors, dtype=np.float64).ravel()
+    chol = [np.linalg.cholesky(covs[c]) for c in range(n)]
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(trials, pri)
+    blocks = [mu[c] + rng.standard_normal((counts[c], dim)) @ chol[c].T
+              for c in range(n)]
+    X = np.vstack(blocks)
+    truth = np.repeat(np.arange(n), counts)
+    scores = np.empty((trials, n))
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(pri)
+    for c in range(n):
+        diff = X - mu[c]
+        z = solve_triangular(chol[c], diff.T, lower=True)
+        log_det = float(np.log(np.diag(chol[c])).sum())
+        with np.errstate(over="ignore"):
+            mahalanobis = (z ** 2).sum(axis=0)
+        scores[:, c] = (log_priors[c] - 0.5 * mahalanobis
+                        - log_det - 0.5 * dim * np.log(2.0 * np.pi))
+    predicted = np.argmax(scores, axis=1)
+    error = float(np.mean(predicted != truth))
+    stderr = float(np.sqrt(error * (1.0 - error) / trials))
+    return error, stderr
+
+
+def _oracles_agree(means, covs, priors, trials=10_000, seed=5):
+    got = bayes_error_oracle(means, covs, priors, trials, seed)
+    assert got == _parent_bayes_error_oracle(means, covs, priors, trials,
+                                             seed)
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 16, 64, 129])
+def test_oracle_matches_parent_on_identity_covariances(n, dim):
+    # dim 8, 9, 16, 64 and 129 reach each branch of the pairwise norm.
+    covs = np.broadcast_to(np.eye(dim), (n, dim, dim))
+    for sep in (0.0, 0.5, 8.0, 1e200):
+        _oracles_agree(sep * _simplex_vertices(n, dim), covs,
+                       np.full(n, 1.0 / n))
+
+
+def test_oracle_matches_parent_with_a_zero_prior():
+    err, _ = _oracles_agree(_simplex_vertices(3, 2), np.stack([np.eye(2)] * 3),
+                            [0.5, 0.0, 0.5])
+    assert 0.0 < err < 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_oracle_matches_parent_on_anisotropic_covariances(seed):
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+    A = rng.standard_normal((n, dim, dim))
+    covs = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(dim)
+    _oracles_agree(rng.standard_normal((n, dim)), covs,
+                   rng.dirichlet(np.ones(n)), trials=20_000, seed=seed)
+
+
+def test_oracle_far_apart_correlated_classes_raise_no_warning():
+    # Every squared norm from the other class overflows, and no
+    # RuntimeWarning may escape the substitution or the norms.
+    covs = np.array([[[1.0, 0.8], [0.8, 1.0]]] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _oracles_agree([[0.0, 0.0], [1e200, -1e200]], covs, [0.3, 0.7])
+    assert got == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("dim", [*range(1, 41), 127, 128, 129, 300])
+def test_pairwise_row_sum_matches_numpy_order(dim):
+    from spectral_complexity.analysis import _pairwise_row_sum
+    rng = np.random.default_rng(dim)
+    rows = rng.random((dim, 50)) * 10.0 ** rng.integers(-8, 8, (dim, 1))
+    want = np.asfortranarray(rows).sum(axis=0)
+    assert same_bits(_pairwise_row_sum(rows.copy()), want)
+
+
+def test_running_argmax_matches_numpy():
+    from spectral_complexity.analysis import _keep_max
+    rng = np.random.default_rng(11)
+    values = np.array([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan])
+    for n in range(1, 7):
+        scores = rng.choice(values, size=(n, 4000))
+        best = np.full(4000, -np.inf)
+        index = np.zeros(4000, dtype=np.intp)
+        for c, row in enumerate(scores):
+            _keep_max(best, index, row, c)
+        assert np.array_equal(index, np.argmax(scores, axis=0)), n
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
                                  -1e-300])
 def test_suite_refuses_non_finite_or_negative_separations(bad):

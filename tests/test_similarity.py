@@ -65,6 +65,19 @@ class TestKnnDensity:
         assert density.tolist() == [np.finfo(np.float64).max, 0.0]
         assert degenerate == 1
 
+    def test_infinite_density_is_refused(self):
+        # Three targets about 8.9e-9 away at d=40: the volume (1.8e-8)**40
+        # is tiny but nonzero, so 3 / (3 * volume) passes float64. The
+        # stage refuses this geometry with the same --reduce hint.
+        targets = np.zeros((3, 40))
+        targets[:, 0] = [8.9e-9, -8.9e-9, 8.9e-9]
+        targets[1, 1] = 8.9e-9
+        diag = SimilarityDiagnostics()
+        with pytest.raises(NumericError, match=r"^kNN density overflows "
+                           r"float64; try --reduce pca:<d>$"):
+            knn_density(np.zeros(40), targets, k=3, diagnostics=diag)
+        assert diag.degenerate_densities == 0
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -799,6 +812,27 @@ def test_stage_memory_stays_within_a_few_blocks(classes, rows, dim, M, E):
     finally:
         tracemalloc.stop()
     assert peak < 16 * _BLOCK * 8 == 4 * 2 ** 20
+
+
+def test_oracle_memory_stays_within_a_few_rows():
+    # The default benchmark shape: 10 classes, d=3, 100 000 trials. The
+    # samples and the solve each take a (3, trials) float64 array, 2.3
+    # MiB, and the labels and the running argmax three trial rows, 0.8
+    # MiB each: about 7.1 MiB. A (trials, 10) score matrix would add 7.6
+    # MiB, and argmax's transposed copy of it as much again (21.4 MiB in
+    # all when the oracle held both).
+    import tracemalloc
+    from spectral_complexity import bayes_error_oracle
+    from spectral_complexity.analysis import _simplex_vertices
+    means = _simplex_vertices(10, 3)
+    covs = np.broadcast_to(np.eye(3), (10, 3, 3))
+    tracemalloc.start()
+    try:
+        bayes_error_oracle(means, covs, np.full(10, 0.1), 100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 # The stage draws many pairs at once, by modelling numpy's SeedSequence,
