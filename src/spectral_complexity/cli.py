@@ -254,7 +254,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader of stdout is gone. Point fd 1 at /dev/null, so that
+        # the interpreter's final flush of what is left stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return DataError.exit_code
     except SpectralComplexityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

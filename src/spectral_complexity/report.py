@@ -51,36 +51,32 @@ def _format_float(v: float) -> str:
     return "%.17g" % v
 
 
-def _is_scalar(v) -> bool:
-    return not isinstance(v, (dict, list, tuple))
+def _scalar(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return _format_float(float(v))
+    if isinstance(v, np.integer):
+        return str(int(v))
+    if v is None or isinstance(v, (str, int)):  # bool is an int
+        return json.dumps(v)
+    raise DataError(f"cannot serialize value of type {type(v).__name__}")
 
 
 def _dump(obj, indent: int = 0) -> str:
+    """A scalar inline, a list of scalars on one line, any other
+    container one item per line."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return _scalar(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_dump(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
+        parts = [f"{pad}  {json.dumps(str(k))}: {_dump(v, indent + 1)}"
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if all(_is_scalar(v) for v in items):
-            return "[" + ", ".join(_dump(v, indent) for v in items) + "]"
-        parts = [f"{inner}{_dump(v, indent + 1)}" for v in items]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, np.integer):
-        return str(int(obj))
-    if obj is None or isinstance(obj, (str, int)):  # bool is an int
-        return json.dumps(obj)
-    raise DataError(f"cannot serialize value of type {type(obj).__name__}")
+    if not any(isinstance(v, (dict, list, tuple)) for v in obj):
+        return "[" + ", ".join(map(_scalar, obj)) + "]"
+    parts = [f"{pad}  {_dump(v, indent + 1)}" for v in obj]
+    return "[\n" + ",\n".join(parts) + f"\n{pad}]"
 
 
 def serialize(payload: dict) -> str:

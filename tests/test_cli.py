@@ -834,6 +834,35 @@ def test_benchmark_ignores_threads_variable(capsys, monkeypatch):
     assert "cmsauls: r=" in stdout
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("command", ["complexity", "benchmark", "mds"])
+def test_closed_stdout_exits_2_with_one_error_line(blob_csv, command,
+                                                   unbuffered):
+    # `spectral-complexity ... | true`: stdout is a pipe whose reader is
+    # gone. Unbuffered, the first print fails; buffered, the final flush.
+    argv = {"complexity": ("complexity", "--input", str(blob_csv)),
+            "benchmark": SMALL_BENCHMARK,
+            "mds": ("mds", "--from-report", str(
+                Path(__file__).parent / "golden" / "expected"
+                / "complexity-csv.json"))}[command]
+    import os
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(CLI + list(argv), stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=env,
+                             timeout=120)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == ("error: cannot write standard output: "
+                          "[Errno 32] Broken pipe\n")
+
+
 def test_traced_names_exist_where_the_tracer_looks():
     # bench/trace_job.py wraps each name of its CLI, ANALYSIS and
     # DESCRIPTORS tables by getattr on that module; a name that moved away

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectral_complexity import (HyperParams, LabeledDataset, load_csv,
-                                 run_pipeline)
+from spectral_complexity import (HyperParams, LabeledDataset, NumericError,
+                                 load_csv, run_pipeline)
 
 BLOBS = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
 # Every class of blobs.csv has 100 rows, so the defaults use all of them.
@@ -50,11 +50,20 @@ def test_translation_keeps_scores(blobs):
                                rtol=1e-12, atol=0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the score depends on the feature unit: the radius floor is absolute "
-    "below a span of 1, and (2r)^d overflows at large scales (ROADMAP "
-    "items 3 and 10)"))
-@pytest.mark.parametrize("scale", [1e-13, 1e110])
+# The score depends on the feature unit: the radius floor is absolute
+# below a span of 1, and (2r)^d overflows at large scales (ROADMAP items 3
+# and 10). A scale where every density is floored or 0 is refused; if the
+# refusal stops firing, these cases fail instead of passing as xfails.
+@pytest.mark.parametrize("scale", [
+    pytest.param(1e-13, marks=pytest.mark.xfail(
+        strict=True, raises=NumericError, reason="all floored: refused")),
+    pytest.param(1e110, marks=pytest.mark.xfail(
+        strict=True, raises=NumericError, reason="all 0: refused")),
+    # 377 of the densities floored, no warning: cmsauls reads
+    # 2.4499972726529142 against 1.1570155701302114 (ROADMAP item 10).
+    pytest.param(1e-12, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="scores silently")),
+])
 def test_scaling_keeps_scores(blobs, scale):
     features, labels, base = blobs
     np.testing.assert_allclose(run(features * scale, labels)[3], base[3],

@@ -956,6 +956,26 @@ def test_vectorized_stage_matches_per_pair_loop(monkeypatch, dim):
     assert X.diagnostics.zero_mass_rows == diag.zero_mass_rows
 
 
+def test_runs_of_one_pair_are_drawn_by_numpy(monkeypatch):
+    # Six classes of distinct sizes below M = E = 12: every (m, e) run of
+    # the stage is one pair long, below the crossover to the model.
+    from spectral_complexity import LabeledDataset, similarity
+
+    def refuse(*args):
+        raise AssertionError("a run of one pair reached the model")
+
+    monkeypatch.setattr(similarity, "_pcg_words", refuse)
+    sizes = [5, 6, 7, 8, 9, 10]
+    labels = np.random.default_rng(6).permutation(
+        np.repeat(np.arange(len(sizes)), sizes))
+    features = np.random.default_rng(7).normal(labels[:, None], 1.0,
+                                               (labels.size, 3))
+    emb = embed(LabeledDataset(features=features, labels=labels))
+    params = HyperParams(M=12, E=12, k=2, seed=3)
+    raw, _ = reference_similarity(emb, params)
+    assert np.array_equal(build_similarity_matrix(emb, params).values, raw)
+
+
 def _two_blobs():
     return embed(make_blobs([(0.0, 0.0), (5.0, 5.0)], per_class=10))
 
