@@ -233,34 +233,6 @@ def _simplex_vertices(n: int, dim: int) -> np.ndarray:
     return folded / spacing
 
 
-def _pairwise_row_sum(rows: np.ndarray) -> np.ndarray:
-    """rows.sum(axis=0) in numpy's pairwise order along a contiguous axis.
-
-    A running sum below 8 rows, 8 accumulators up to 128, and a split in
-    halves (a multiple of 8 first) past that: the order numpy's add.reduce
-    takes over each column of a Fortran-ordered array, so the result is
-    bit for bit `np.asfortranarray(rows).sum(axis=0)`. Sums in place into
-    rows, and returns a view of its first row.
-    """
-    n = len(rows)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_row_sum(rows[:half])
-        total += _pairwise_row_sum(rows[half:])
-        return total
-    total, acc = rows[0], rows[:min(n, 8)]
-    if n >= 8:
-        for i in range(8, n - n % 8, 8):
-            acc += rows[i:i + 8]
-        acc[::2] += acc[1::2]
-        acc[0] += acc[2]
-        acc[4] += acc[6]
-        total += acc[4]
-    for i in range(1 if n < 8 else n - n % 8, n):
-        total += rows[i]
-    return total
-
-
 def _keep_max(best: np.ndarray, index: np.ndarray, score: np.ndarray,
               label: int) -> None:
     """One step of a running argmax over rows, with np.argmax's rules.
@@ -331,7 +303,10 @@ def bayes_error_oracle(means, covariances, priors, trials: int,
                     z[i] -= L[i, k] * z[k]
                 if L[i, i] != 1.0:
                     z[i] /= L[i, i]
-            mahalanobis = _pairwise_row_sum(np.square(z, out=z))
+            # In place, and bit for bit z.sum(axis=0): a running sum of rows.
+            mahalanobis = np.square(z, out=z)[0]
+            for row in z[1:]:
+                mahalanobis += row
         log_det = float(np.log(np.diag(L)).sum())
         mahalanobis *= 0.5
         score = np.subtract(log_priors[c], mahalanobis, out=mahalanobis)

@@ -199,8 +199,8 @@ def _neighbours(emb: LabeledDataset) -> tuple[np.ndarray, ...]:
         D = cdist(X[rows], X)
         D[rows - lo, rows] = np.inf
         same = labels[rows, None] == labels
-        intra[rows] = np.where(same, D, np.inf).min(axis=1)
-        extra[rows] = np.where(same, np.inf, D).min(axis=1)
+        intra[rows] = D.min(axis=1, where=same, initial=np.inf)
+        extra[rows] = D.min(axis=1, where=~same, initial=np.inf)
         nearest[rows] = D.argmin(axis=1)
     paired = np.bincount(emb.labels)[emb.labels] > 1
     if np.isinf(extra).any() or np.isinf(intra[paired]).any():
