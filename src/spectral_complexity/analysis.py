@@ -214,7 +214,6 @@ def _simplex_vertices(n: int, dim: int) -> np.ndarray:
     coordinate j mod dim) and the result is rescaled so the minimum
     pairwise vertex distance is 1 again.
     """
-    from scipy.spatial.distance import pdist
     basis = np.zeros((n - 1, n))
     for k in range(1, n):
         basis[k - 1, :k] = 1.0 / np.sqrt(k * (k + 1))
@@ -225,7 +224,11 @@ def _simplex_vertices(n: int, dim: int) -> np.ndarray:
     np.add.at(folded.T, np.arange(n - 1) % dim, verts.T)
     if n - 1 <= dim:
         return folded
-    spacing = pdist(folded).min()
+    # A running sum over coordinates: numpy reorders a sum along an
+    # axis of 8 or more, and this order equals scipy's pdist bit for bit.
+    iu, ju = np.triu_indices(n, k=1)
+    spacing = np.sqrt(sum((folded[iu, c] - folded[ju, c]) ** 2
+                          for c in range(dim))).min()
     if spacing <= 0:
         raise NumericError(
             f"mean placement collapsed for {n} classes in {dim} dimensions"

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spectral_complexity import HyperParams, LabeledDataset, apply_reduction
+
+# Every property test draws the same examples on every run, with no
+# example database and no per-example deadline.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 def make_blobs(centers, per_class=40, scale=0.5, seed=7):

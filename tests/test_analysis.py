@@ -565,15 +565,18 @@ def _parent_simplex_vertices(n, dim):
 
 
 def test_simplex_vertices_match_two_branch_parent():
-    for n in range(2, 45):
-        for dim in range(1, 50):
-            try:
-                want = _parent_simplex_vertices(n, dim)
-            except NumericError:
-                with pytest.raises(NumericError):
-                    _simplex_vertices(n, dim)
-                continue
-            assert same_bits(_simplex_vertices(n, dim), want), (n, dim)
+    # The rescale sums coordinates in pdist's order, which numpy's own
+    # axis sums leave from 8 coordinates on: hence the wide folds too.
+    cases = [(n, dim) for n in range(2, 45) for dim in range(1, 50)]
+    cases += [(n, dim) for dim in (64, 128) for n in (dim + 2, 3 * dim + 5)]
+    for n, dim in cases:
+        try:
+            want = _parent_simplex_vertices(n, dim)
+        except NumericError:
+            with pytest.raises(NumericError):
+                _simplex_vertices(n, dim)
+            continue
+        assert same_bits(_simplex_vertices(n, dim), want), (n, dim)
 
 
 def _parent_classical_mds(U):

@@ -693,8 +693,8 @@ def test_csv_error_names_physical_line(tmp_path, capsys, text, line, message):
 
 def test_complexity_loads_no_scipy_or_network_modules(tmp_path):
     # `complexity` needs numpy and the standard library only: scipy is
-    # imported by the descriptor, benchmark and mds code that calls it,
-    # and xml.sax.saxutils would pull in urllib.request, http and ssl.
+    # imported by the descriptor and benchmark code that calls it, and
+    # xml.sax.saxutils would pull in urllib.request, http and ssl.
     blobs = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
     code = (
         "import sys\n"
@@ -725,6 +725,22 @@ def test_mds_loads_no_scipy(tmp_path, capsys):
         f"'--svg', {str(tmp_path / 'mds.svg')!r}])\n"
         "print(code, sorted(m for m in sys.modules\n"
         "                   if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_benchmark_loads_no_scipy_spatial():
+    # Three classes in one dimension fold the suite's simplex, which is
+    # then rescaled by its closest vertices. pearson's betainc loads
+    # scipy.special, but nothing here needs scipy.spatial.
+    code = (
+        "import sys\n"
+        "from spectral_complexity import cli\n"
+        f"code = cli.main({[*SMALL_BENCHMARK, '--classes', '3']!r})\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.startswith('scipy.spatial')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)

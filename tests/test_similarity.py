@@ -762,7 +762,7 @@ _BC_ENTRIES = [st.sampled_from([0.0, -0.0]),
 _BC_NEAR_MAX = st.floats(1e307, np.finfo(np.float64).max)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_bray_curtis_equals_parent_loop(data):
     n = data.draw(st.integers(2, 7))
@@ -794,7 +794,7 @@ def test_bray_curtis_equals_parent_loop(data):
     # distances, would fill a chunk sized by distance entries alone.
     (30, 4, 512, 2, 3),
     # Classes far larger than their draws, the embed-bin shape: every
-    # lane runs Floyd's algorithm, with its larger temporaries.
+    # lane runs Floyd's loop, with its (t, lanes) comparisons.
     (20, 2500, 12, 100, 100),
 ])
 def test_stage_memory_stays_within_a_few_blocks(classes, rows, dim, M, E):
@@ -893,7 +893,13 @@ def _vectorized_and_numpy_draws(seed, sizes, M, E, include_diagonal):
     ([4, 50, 12, 30, 6, 40, 25, 60], 20, 25, False),
     # Draws of one or two rows: no shuffle draw, and classes of one row.
     ([5, 1, 3, 8] * 5, 1, 2, True),
-], ids=["whole-classes", "mixed-sizes", "no-diagonal", "tiny-draws"])
+    # Floyd's loop at n = 100 on oracle-suite's 200-row classes and on
+    # embed-bin's 2500-row ones; the smaller classes, used whole, give
+    # each case more than one run.
+    ([200] * 8 + [60, 80], 100, 100, True),
+    ([2500] * 3 + [70], 100, 100, True),
+], ids=["whole-classes", "mixed-sizes", "no-diagonal", "tiny-draws",
+        "oracle-suite-classes", "embed-bin-classes"])
 def test_vectorized_draws_equal_numpy_choice(seed, sizes, M, E,
                                               include_diagonal):
     runs = _vectorized_and_numpy_draws(seed, sizes, M, E, include_diagonal)
@@ -902,7 +908,7 @@ def test_vectorized_draws_equal_numpy_choice(seed, sizes, M, E,
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 64 - 1),
        st.lists(st.integers(1, 40), min_size=2, max_size=6),
        st.integers(1, 40), st.integers(1, 40), st.booleans())
