@@ -11,6 +11,11 @@ results are independent of evaluation order. The stage draws from those
 streams itself, many pairs at once: `_draw` gives the rows that numpy's
 Generator.choice would give on each stream, bit for bit, and
 tests/test_similarity.py checks that against the installed numpy.
+
+Pairs whose two classes are both used whole, no larger than M and E,
+share one distance tile: its rows give pair (i, j) and its columns pair
+(j, i). Results, diagnostics and refusals are still those of scoring
+each pair on its own, in pair order.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import groupby
+from math import isqrt
 
 import numpy as np
 
@@ -45,11 +51,12 @@ _JUMPS = [(pow(_PCG_MULT, b, 2 ** 128),
 
 # One vectorized draw costs about as much as numpy's own draws for
 # _MIN_LANES + (m + e) / 4 pairs, whatever its lane count (measured on
-# 2 cores, m = e from 10 to 100); smaller runs are drawn by numpy.
-# Classes of distinct sizes below M or E cut the stage into runs of one
-# pair: 1600 of 1680 runs on 80 classes (20 of 20-39 rows, 60 of 40),
-# M = E = 40, d = 8, where forcing every run through the model doubled
-# the stage's time (0.57-0.65 s against 1.29-1.60 s), X bit-identical.
+# 2 cores, m = e from 10 to 100); smaller runs are drawn by numpy, and
+# a draw of query orders alone counts e as 0. Classes of distinct sizes
+# below E cut the stage into runs of one pair: all 6400 runs on 80
+# classes of 21-100 rows at M = 20, E = 100, d = 8, where forcing every
+# run through the model took the stage from 0.96-1.01 s to 5.0 s, X
+# bit-identical.
 _MIN_LANES = 16
 
 
@@ -118,6 +125,56 @@ def pair_rng(seed: int, source: int, target: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, source, target]))
 
 
+def _chebyshev(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Chebyshev distances between coordinate-major rows q and t, whose
+    shapes broadcast past the first (coordinate) axis: a running max over
+    coordinates, with no temporary holding every coordinate; max and abs
+    are exact."""
+    dist = np.abs(q[0] - t[0])
+    step = np.empty_like(dist)
+    for c in range(1, len(q)):
+        np.abs(np.subtract(q[c], t[c], out=step), out=step)
+        np.maximum(dist, step, out=dist)
+    return dist
+
+
+def _leave_one_out(rows: np.ndarray) -> np.ndarray:
+    """Drop one coincident target per query row of rows (R, e), in place:
+    its first zero distance becomes inf, and genuine duplicates beyond
+    the first still participate. Returns each row's usable target count."""
+    usable = np.full(rows.shape[0], rows.shape[1])
+    zero = rows == 0.0
+    # Zeros are rare off the diagonal, and one any() over the whole array
+    # costs a fifth of one per row.
+    if zero.any():
+        hit = np.flatnonzero(zero.any(axis=1))
+        rows[hit, zero[hit].argmax(axis=1)] = np.inf
+        usable[hit] -= 1
+    return usable
+
+
+def _density(radius: np.ndarray, span: np.ndarray, n_targets: int, dim: int,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k / (n_targets * (2 r)**dim) at each k-th radius r, the radius
+    floored to 1e-12 * max(1, span of its targets). Returns the densities
+    and which of them were floored or clamped.
+
+    Huge radii overflow the volume to inf, and k / inf is exactly 0; a
+    volume that underflows to 0 is clamped to the largest density. A
+    volume that is tiny but nonzero overflows k / denom to inf, which
+    _row_sums refuses.
+    """
+    eps = _DEGENERACY_SCALE * np.maximum(1.0, span)
+    degenerate = radius < eps
+    radius = np.where(degenerate, eps, radius)
+    with np.errstate(divide="ignore", over="ignore"):
+        denom = n_targets * (2.0 * radius) ** dim
+        density = k / denom
+    overflow = denom == 0.0
+    density[overflow] = np.finfo(np.float64).max
+    return density, degenerate | overflow
+
+
 def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
                    exclude_self: bool) -> tuple[np.ndarray, int]:
     """Density of each block's targets at its query rows.
@@ -131,46 +188,24 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
     """
     m, dim = queries.shape[-2:]
     n_targets = targets.shape[-2]
-    # Chebyshev distance as a running max over coordinates, with no
-    # (..., m, e, d) temporary; max and abs are exact. These coordinate-
-    # major copies beat strided views, and a (d, N) gather was no faster.
+    # These coordinate-major copies beat strided views, and a (d, N)
+    # gather was no faster.
     q = np.ascontiguousarray(np.moveaxis(queries, -1, 0))[..., None]
     t = np.ascontiguousarray(np.moveaxis(targets, -1, 0))[..., None, :]
-    dist = np.abs(q[0] - t[0])
-    step = np.empty_like(dist)
-    for c in range(1, dim):
-        np.abs(np.subtract(q[c], t[c], out=step), out=step)
-        np.maximum(dist, step, out=dist)
-    rows = dist.reshape(-1, n_targets)
-    usable = np.full(rows.shape[0], n_targets)
-    if exclude_self:
-        # Leave-one-out: drop one coincident target per query; genuine
-        # duplicates beyond the first still participate.
-        zero = rows == 0.0
-        hit = np.flatnonzero(zero.any(axis=1))
-        rows[hit, zero[hit].argmax(axis=1)] = np.inf
-        usable[hit] -= 1
+    rows = _chebyshev(q, t).reshape(-1, n_targets)
+    usable = (_leave_one_out(rows) if exclude_self
+              else np.full(rows.shape[0], n_targets))
     short = (usable < k).reshape(-1, m).any(axis=1)
     if short.any():
         # Name the first failing block, as a loop over the blocks would.
         first = usable.reshape(-1, m)[short.argmax()]
         raise DataError(f"k={k} exceeds usable target count {int(first.min())}")
     rows.partition(k - 1, axis=1)
-    radius = rows[:, k - 1].reshape(queries.shape[:-1])
-    span = np.ptp(targets, axis=-2).max(axis=-1, keepdims=True)
-    eps = _DEGENERACY_SCALE * np.maximum(1.0, span)
-    degenerate = radius < eps
-    radius = np.where(degenerate, eps, radius)
-    # Huge radii overflow the volume to inf, and k / inf is exactly 0; a
-    # volume that underflows to 0 is clamped to the largest density. A
-    # volume that is tiny but nonzero overflows k / denom to inf, which
-    # _row_sums refuses.
-    with np.errstate(divide="ignore", over="ignore"):
-        denom = n_targets * (2.0 * radius) ** dim
-        density = k / denom
-    overflow = denom == 0.0
-    density[overflow] = np.finfo(np.float64).max
-    return density, int((degenerate | overflow).sum())
+    density, flagged = _density(
+        rows[:, k - 1].reshape(queries.shape[:-1]),
+        np.ptp(targets, axis=-2).max(axis=-1, keepdims=True), n_targets,
+        dim, k)
+    return density, int(flagged.sum())
 
 
 def knn_density(query: np.ndarray, targets: np.ndarray, k: int,
@@ -393,7 +428,8 @@ def _positions(words: np.ndarray, pop: np.ndarray,
     lanes = pop.size
     vals, reject = _choice_draws(words, pop, n)
     # Floyd on a whole class gives 0, ..., n - 1; skipping the loop saves
-    # 0.54 ms a call at n = 40, 409 lanes (many-classes: 32 calls a job).
+    # 0.54 ms a call at n = 40, 409 lanes (many-classes: 37 calls a job,
+    # 32-320 lanes, every class whole).
     pos = np.repeat(np.arange(n), lanes).reshape(n, lanes)
     part = np.flatnonzero(pop > n)
     if part.size:
@@ -452,6 +488,143 @@ def _draw(seed: int, rows: list[np.ndarray], pairs: list[tuple[int, int]],
     return queries, targets
 
 
+def _query_orders(seed: int, src: np.ndarray, tgt: np.ndarray,
+                  m: int) -> np.ndarray:
+    """(P, m) positions within class i in which pair_rng(seed, i, j)
+    followed by choice(rows[i], m, replace=False) draws a class i of m
+    rows whole, for each pair (i, j) of src and tgt. The pair's target
+    draw, which would come next, is not made.
+
+    numpy itself draws short runs and lanes that leave the lockstep
+    model, as in _draw; numpy shuffles a whole class of more than 10 000
+    rows by its tail-shuffle branch.
+    """
+    lanes = src.size
+    redo = np.ones(lanes, bool)
+    if 4 * lanes < 4 * _MIN_LANES + m or m > 10000:
+        order = np.empty((lanes, m), np.int64)
+    else:
+        # The first Floyd draw of a class used whole takes no word.
+        pos, redo = _positions(_pcg_words(seed, src, tgt, 2 * m - 2)[1:],
+                               np.full(lanes, m), m)
+        order = pos.T
+    for p in np.flatnonzero(redo):
+        order[p] = pair_rng(seed, int(src[p]), int(tgt[p])).choice(
+            m, size=m, replace=False)
+    return order
+
+
+def _tile_means(dist: np.ndarray, e: int, span: np.ndarray,
+                order: np.ndarray, k: int, dim: int,
+                scored: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Pair means read off one distance tile, which is overwritten.
+
+    The rows of dist are the queries of a classes of m rows and its
+    columns the rows of b target classes of e rows, each class in its
+    row order; order (a, b, m) gives each pair's query draw and span (b,)
+    each target class's span. Returns the (a, b) means, 0 where scored
+    is False, and the count of floored or clamped densities of scored
+    pairs; None if a scored pair would be refused.
+    """
+    a, b, m = order.shape
+    rows = dist.reshape(-1, e)
+    short = _leave_one_out(rows) < k
+    if short.any() and (short.reshape(a, m, b).any(axis=1) & scored).any():
+        return None
+    rows.partition(k - 1, axis=1)
+    density, flagged = _density(rows[:, k - 1].reshape(a, m, b), span, e,
+                                dim, k)
+    # One sum per C-contiguous row in draw order, as _pair_means sums. A
+    # gather takes the layout of its strided index, and a sum over such
+    # rows reduces in another order.
+    picked = np.ascontiguousarray(density[np.arange(a)[:, None, None], order,
+                                          np.arange(b)[:, None]])
+    with np.errstate(over="ignore"):
+        means = picked.reshape(a * b, m).sum(axis=1).reshape(a, b) / m
+    if (np.isinf(means) & scored).any():
+        return None
+    means[~scored] = 0.0
+    return means, int(np.count_nonzero(flagged & scored[:, None]))
+
+
+def _whole_class_means(emb: LabeledDataset, params: HyperParams,
+                       rows: list[np.ndarray], whole: list[int],
+                       include_diagonal: bool, raw: np.ndarray) -> int | None:
+    """Write the mean of every pair of `whole`, classes of at most M and
+    E rows, into raw, and return their count of floored or clamped
+    densities; None if a pair among them would be refused.
+
+    Pair (i, j) draws all of class i as queries and all of class j as
+    targets: each query's density does not depend on the target order,
+    so one Chebyshev tile of class i's rows against class j's gives pair
+    (i, j) from its rows and pair (j, i) from its columns. Only the query
+    orders are drawn, so that each pair sums its densities as the lane
+    path does. Classes are taken by size, so that a run of equal sizes
+    shapes as (rows, classes, size); each band of a run is scored against
+    itself and every later class, in tiles of about _BLOCK distances.
+    """
+    seed, k, dim = params.seed, params.k, emb.n_features
+    whole = np.array(sorted(whole, key=lambda c: rows[c].size))
+    sizes = [rows[c].size for c in whole]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    feats = np.ascontiguousarray(
+        emb.features[np.concatenate([rows[c] for c in whole])].T)
+    span = (np.maximum.reduceat(feats, starts, axis=1)
+            - np.minimum.reduceat(feats, starts, axis=1)).max(axis=0)
+    cuts = [0] + [c for c in range(1, whole.size)
+                  if sizes[c] != sizes[c - 1]] + [whole.size]
+    runs = list(zip(cuts, cuts[1:]))
+    # A band's own tile stays within _BLOCK distances, and each of its
+    # draws within _BLOCK // (2 * size) lanes, as the lane path's draws.
+    lane_cap = _BLOCK // (2 * whole.size * max(sizes))
+    flagged = 0
+    for g0, g1 in runs:
+        s = sizes[g0]
+        band = max(1, min(isqrt(_BLOCK) // s, lane_cap))
+        for c0 in range(g0, g1, band):
+            c1 = min(c0 + band, g1)
+            a, src = c1 - c0, whole[c0:c1]
+            q = feats[:, starts[c0]:ends[c1 - 1], None]
+            order = _query_orders(seed, np.repeat(src, whole.size - c0),
+                                  np.tile(whole[c0:], a), s
+                                  ).reshape(a, whole.size - c0, s)
+            # (first target class, end, query orders of the columns'
+            # pairs); the band's own tile is read by rows alone.
+            tiles = [(c0, c1, None)] if include_diagonal or a > 1 else []
+            for h0, h1 in runs:
+                lo, e = max(h0, c1), sizes[h0]
+                if lo < h1:
+                    back = _query_orders(seed, np.repeat(whole[lo:h1], a),
+                                         np.tile(src, h1 - lo), e
+                                         ).reshape(h1 - lo, a, e)
+                    width = max(1, _BLOCK // (a * s * e))
+                    tiles += [(t0, min(t0 + width, h1), back[t0 - lo:])
+                              for t0 in range(lo, h1, width)]
+            for t0, t1, back in tiles:
+                dist = _chebyshev(q, feats[:, starts[t0]:ends[t1 - 1]])
+                scored = np.ones((a, t1 - t0), bool)
+                if t0 == c0 and not include_diagonal:
+                    np.fill_diagonal(scored, False)
+                # Per side: the tile, then _tile_means's arguments, then
+                # the classes of its rows and of its columns. The
+                # transposed copy is taken before the rows overwrite dist.
+                sides = [(dist, sizes[t0], span[t0:t1],
+                          order[:, t0 - c0:t1 - c0], scored, src,
+                          whole[t0:t1])]
+                if back is not None:
+                    sides.append((np.ascontiguousarray(dist.T), s,
+                                  span[c0:c1], back[:t1 - t0], scored.T,
+                                  whole[t0:t1], src))
+                for tile, size, spans, orders, ok, sources, targets in sides:
+                    got = _tile_means(tile, size, spans, orders, k, dim, ok)
+                    if got is None:
+                        return None
+                    raw[np.ix_(sources, targets)] = got[0]
+                    flagged += got[1]
+    return flagged
+
+
 def _row_sums(refusal: Callable[[int], str], *terms) -> np.ndarray:
     """Row sums of the elementwise sum of `terms`; the first one past the
     float64 range raises NumericError(refusal(row) + the --reduce hint)."""
@@ -467,22 +640,37 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
                             row_normalize: bool = True,
                             include_diagonal: bool = True,
                             threads: int = 1) -> ClassSimilarityMatrix:
-    """Populate all class pairs of the similarity matrix, in pair order.
+    """Populate all class pairs of the similarity matrix.
 
-    `threads` is accepted and has no effect. Rows are normalized to sum
-    1 unless row_normalize is off; all-zero rows are left as zero and
-    recorded in diagnostics. Skipping the diagonal leaves those cells
-    at 0 before normalization. A pair mean or row sum past the float64
-    range raises NumericError.
+    The values, the diagnostics and the refusal raised are those of
+    scoring each pair (i, j) on its own, in pair order (i-major), though
+    pairs of classes used whole share distance tiles and the other pairs
+    are scored in batches. `threads` is accepted and has no effect. Rows
+    are normalized to sum 1 unless row_normalize is off; all-zero rows
+    are left as zero and recorded in diagnostics. Skipping the diagonal
+    leaves those cells at 0 before normalization. A pair mean or row sum
+    past the float64 range raises NumericError.
     """
     n = emb.n_classes
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if include_diagonal or i != j]
     rows = class_partition(emb)
     m_of, e_of = _draw_sizes(rows, params)
+    whole = [c for c in range(n) if rows[c].size <= min(params.M, params.E)]
+    raw = np.zeros((n, n), dtype=np.float64)
     diagnostics = SimilarityDiagnostics()
+    flagged = _whole_class_means(emb, params, rows, whole, include_diagonal,
+                                 raw) if whole else 0
+    if flagged is None:
+        # A pair among them is refused: every pair goes to the lane path,
+        # which raises the refusal that pair order reaches first.
+        whole, flagged = [], 0
+    diagnostics.degenerate_densities = flagged
+    tiled = set(whole)
+    lane_pairs = [(i, j) for i in range(n) for j in range(n)
+                  if (include_diagonal or i != j)
+                  and (i not in tiled or j not in tiled)]
     means = []
-    for (m, e), run in groupby(pairs, key=lambda p: (m_of[p[0]], e_of[p[1]])):
+    for (m, e), run in groupby(lane_pairs,
+                               key=lambda p: (m_of[p[0]], e_of[p[1]])):
         run = list(run)
         # Lanes per draw: its words, products and rows stay a few _BLOCKs.
         lanes = max(1, _BLOCK // (m + e))
@@ -491,8 +679,13 @@ def build_similarity_matrix(emb: LabeledDataset, params: HyperParams, *,
             means.append(_pair_means(emb, params, batch,
                                      *_draw(params.seed, rows, batch, m, e),
                                      diagnostics))
-    raw = np.zeros((n, n), dtype=np.float64)
-    raw[tuple(zip(*pairs))] = np.concatenate(means)
+    if lane_pairs:
+        raw[tuple(zip(*lane_pairs))] = np.concatenate(means)
+    # Both paths' pairs, in pair order.
+    diagnostics.replacement_pairs = [
+        (i, j) for i in range(n) for j in range(n)
+        if (include_diagonal or i != j)
+        and (m_of[i], e_of[j]) != (params.M, params.E)]
 
     if row_normalize:
         sums = _row_sums(

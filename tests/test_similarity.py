@@ -325,13 +325,16 @@ class TestDensityOverflow:
     def test_pair_mean_overflow_is_numeric_error(self, row_normalize):
         from spectral_complexity import NumericError
         emb = tight_and_spread()
-        params = HyperParams(M=20, E=25, k=3, seed=0)
         message = (r"^similarity of class pair \(0, 0\) overflows float64; "
                    r"try --reduce pca:<d>$")
-        with pytest.raises(NumericError, match=message):
-            build_similarity_matrix(emb, params, row_normalize=row_normalize)
-        with pytest.raises(NumericError, match=message):
-            class_pair_expectation(0, 0, emb, params, pair_rng(0, 0, 0))
+        # The 30-row class drawn in part, then both classes used whole.
+        for M, E in [(20, 25), (30, 30)]:
+            params = HyperParams(M=M, E=E, k=3, seed=0)
+            with pytest.raises(NumericError, match=message):
+                build_similarity_matrix(emb, params,
+                                        row_normalize=row_normalize)
+            with pytest.raises(NumericError, match=message):
+                class_pair_expectation(0, 0, emb, params, pair_rng(0, 0, 0))
 
     def test_row_sum_overflow_is_numeric_error(self):
         # One query per pair: (0, 0) and (0, 1) each average a single
@@ -545,6 +548,54 @@ def mixed_classes(dim, seed=0):
     return LabeledDataset(features=np.vstack(blocks), labels=labels)
 
 
+def whole_classes(dim, seed=0):
+    """Nineteen classes of unequal sizes, all but the last at most
+    M = E = 20 rows and so used whole: 4-row classes, which leave
+    exactly k = 3 usable targets on the diagonal and beside a shared
+    row, and 5-row ones, one above; runs of equal sizes (six classes of 12 rows draw their query orders
+    through the model, and sum more than 8 densities a pair), rows shared
+    by two classes (a band's tile meets them on its rows and on its
+    transposed side), and two collapsed classes, whose radii are
+    floored."""
+    from spectral_complexity import LabeledDataset
+    rng = np.random.default_rng([seed, dim, 14])
+    sizes = [4, 9, 4, 4, 12, 7, 5, 20, 4, 16, 5, 11, 4] + [12] * 5 + [30]
+    blocks = [rng.normal(1.5 * c, 1.0, (s, dim)) for c, s in enumerate(sizes)]
+    blocks[4][:3] = blocks[1][:3]
+    blocks[8][1] = blocks[12][0]
+    # All rows at 0 but one far point, which keeps floored volumes above 0.
+    for c in (5, 6):
+        blocks[c][:] = 0.0
+        blocks[c][-1] = 1e5
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    return LabeledDataset(features=np.vstack(blocks), labels=labels)
+
+
+class TestWholeClassTiles:
+    @pytest.mark.parametrize("dim", [1, 8])
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("row_normalize", [True, False])
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_bit_identical(self, monkeypatch, dim, block, row_normalize,
+                           include_diagonal):
+        from spectral_complexity import similarity
+        if block is not None:
+            monkeypatch.setattr(similarity, "_BLOCK", block)
+        emb = whole_classes(dim)
+        params = HyperParams(M=20, E=20, k=3, seed=dim)
+        X = build_similarity_matrix(emb, params, row_normalize=row_normalize,
+                                    include_diagonal=include_diagonal)
+        raw, diag = reference_similarity(emb, params, row_normalize,
+                                         include_diagonal)
+        assert np.array_equal(X.values, raw)
+        # A plain int, as json.dump and the report expect.
+        assert type(X.diagnostics.degenerate_densities) is int
+        assert (X.diagnostics.degenerate_densities
+                == diag.degenerate_densities > 0)
+        assert X.diagnostics.replacement_pairs == diag.replacement_pairs
+        assert X.diagnostics.zero_mass_rows == diag.zero_mass_rows
+
+
 class TestBatchedAgainstPerPairLoop:
     @pytest.mark.parametrize("dim", [1, 3, 8, 40])
     @pytest.mark.parametrize("block", [1, 7, None])
@@ -587,6 +638,10 @@ class TestBatchedAgainstPerPairLoop:
         # (0, 1) and (0, 2) share one chunk; (0, 2) fails with 1 usable
         # target because its class repeats a point of class 0.
         ([3, 2, 2], False, True),
+        # Every class used whole: tiles go smallest class first, so (2, 3)
+        # fails with 1 usable target before (0, 1) is reached, with 2, on
+        # the transposed side of class 1's tile.
+        ([3, 2, 1, 1], False, False),
     ])
     def test_error_names_first_failing_pair(self, monkeypatch, block,
                                             threads, sizes,
@@ -598,7 +653,7 @@ class TestBatchedAgainstPerPairLoop:
         if shared:
             feats[-1] = feats[0]
         ds = LabeledDataset(features=feats,
-                            labels=np.repeat(np.arange(3), sizes))
+                            labels=np.repeat(np.arange(len(sizes)), sizes))
         params = HyperParams(M=3, E=3, k=3, seed=0)
         with pytest.raises(DataError) as ref:
             reference_similarity(ds, params,
@@ -796,6 +851,9 @@ def test_bray_curtis_equals_parent_loop(data):
     # Classes far larger than their draws, the embed-bin shape: every
     # lane runs Floyd's loop, with its (t, lanes) comparisons.
     (20, 2500, 12, 100, 100),
+    # Classes used whole: holding every pair's 8 radii, or densities,
+    # would take 300**2 * 8 * 8 B = 5.5 MiB.
+    (300, 8, 3, 8, 8),
 ])
 def test_stage_memory_stays_within_a_few_blocks(classes, rows, dim, M, E):
     import tracemalloc
@@ -919,6 +977,21 @@ def test_vectorized_draws_equal_numpy_choice_property(seed, sizes, M, E,
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("m", [1, 2, 40])
+def test_query_orders_equal_numpy_choice(monkeypatch, seed, m):
+    # A pair of classes used whole draws its query order alone: the
+    # positions that choice(rows, m, replace=False) takes on its stream.
+    from spectral_complexity import similarity
+    monkeypatch.setattr(similarity, "_MIN_LANES", -10 ** 6)
+    src, tgt = np.repeat(np.arange(5), 6), np.tile(np.arange(6), 5)
+    rows = 3 * np.arange(m) + 1
+    want = [pair_rng(seed, i, j).choice(rows, size=m, replace=False)
+            for i, j in zip(src.tolist(), tgt.tolist())]
+    got = similarity._query_orders(seed, src, tgt, m)
+    assert np.array_equal(rows[got], want)
+
+
 @pytest.mark.parametrize("seed, sizes, draw, pair", [
     # Lemire's method rejects one word of this pair's target draw.
     (5, [10_000] * 12, 200, (11, 9)),
@@ -963,8 +1036,9 @@ def test_vectorized_stage_matches_per_pair_loop(monkeypatch, dim):
 
 
 def test_runs_of_one_pair_are_drawn_by_numpy(monkeypatch):
-    # Six classes of distinct sizes below M = E = 12: every (m, e) run of
-    # the stage is one pair long, below the crossover to the model.
+    # Six classes of distinct sizes, above M = 4 and below E = 12: every
+    # (m, e) run of the stage is one pair long, below the crossover to the
+    # model.
     from spectral_complexity import LabeledDataset, similarity
 
     def refuse(*args):
@@ -977,7 +1051,7 @@ def test_runs_of_one_pair_are_drawn_by_numpy(monkeypatch):
     features = np.random.default_rng(7).normal(labels[:, None], 1.0,
                                                (labels.size, 3))
     emb = embed(LabeledDataset(features=features, labels=labels))
-    params = HyperParams(M=12, E=12, k=2, seed=3)
+    params = HyperParams(M=4, E=12, k=2, seed=3)
     raw, _ = reference_similarity(emb, params)
     assert np.array_equal(build_similarity_matrix(emb, params).values, raw)
 
