@@ -3,15 +3,17 @@
 The PCA basis comes from the singular-value decomposition of the
 centered data matrix, which matches covariance eigendecomposition but
 conditions better. The matrix is never formed whole: the fit streams
-the rows in blocks through a sequential TSQR (Demmel, Grigori, Hoemmen
-& Langou, SIAM J. Sci. Comput. 2012), stacking the running R factor on
-each centered block and keeping only the R of its QR, and then takes
-the SVD of the final small R, whose singular values and right singular
-vectors are those of the centered data. The projection is written
-block by block into the output. A block holds max(D, 2**19 // D) rows,
-4 MiB of float64 (8192 rows at D = 64). Component signs follow a fixed
-convention (first coordinate with magnitude above 1e-9 is positive) so
-results do not depend on the eigensolver's arbitrary sign choices.
+the rows in blocks, as a sequential TSQR (Demmel, Grigori, Hoemmen &
+Langou, SIAM J. Sci. Comput. 2012) does. The first block's QR gives a
+triangular R; each further block, centered into one column-major copy,
+is folded into R in place by Householder reflectors that keep R's
+triangle (`_fold`), so the stacked [R; block] is never formed. The SVD
+of the final small R has the singular values and right singular vectors
+of the centered data. The projection is written block by block into the
+output. A block holds max(D, 2**19 // D) rows, 4 MiB of float64 (8192
+rows at D = 64). Component signs follow a fixed convention (first
+coordinate with magnitude above 1e-9 is positive) so results do not
+depend on the eigensolver's arbitrary sign choices.
 """
 
 from __future__ import annotations
@@ -62,6 +64,58 @@ def _enforce_sign(components: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None], -components, components)
 
 
+def _reflect(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One column of _fold, as LAPACK's dlarfg: the reflector that zeroes
+    x (p,) against alpha = r[0, 0]. Writes beta into r[0, 0] and the
+    reflector's tail into x; returns its tau as a (1, 1) T. A zero x is
+    left as it is, with tau = 0."""
+    alpha, squares = r[0, 0], x @ x
+    if 1e-290 <= squares <= 1e290:
+        norm = np.sqrt(squares)
+    else:
+        # The squares may have underflowed or overflowed: rescale by the
+        # largest magnitude.
+        scale = np.abs(x).max()
+        if scale == 0.0:
+            return np.zeros((1, 1))
+        unit = x / scale
+        norm = scale * np.sqrt(unit @ unit)
+    beta = -np.copysign(np.hypot(alpha, norm), alpha)
+    # A division, not a product with the reciprocal, which overflows
+    # when alpha - beta is tiny.
+    x /= alpha - beta
+    r[0, 0] = beta
+    return np.full((1, 1), (beta - alpha) / beta)
+
+
+def _fold(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fold the rows of b (p, n), column-major, into the upper-triangular
+    r (n, n) in place: r becomes the R of the QR of [r; b], and b the
+    lower part Y of its Householder vectors V = [I; Y]. Returns the
+    upper-triangular T of the compact-WY form Q = I - V T V^T.
+
+    This is Elmroth & Gustavson's recursive QR (IBM J. Res. Dev. 2000),
+    on the triangle-over-block structure of LAPACK's dtpqrt2: fold the
+    left half of the columns, apply its reflectors to the right half by
+    one WY update, fold the right half and join the two T factors.
+    """
+    n = r.shape[1]
+    if n == 1:
+        return _reflect(r, b[:, 0])
+    h = n // 2
+    t1 = _fold(r[:h, :h], b[:, :h])
+    y1, b2 = b[:, :h], b[:, h:]
+    w = t1.T @ (r[:h, h:] + y1.T @ b2)
+    r[:h, h:] -= w
+    # Y1 W as (W^T Y1^T)^T, column-major like b2.
+    b2 -= (w.T @ y1.T).T
+    t2 = _fold(r[h:, h:], b2)
+    t = np.zeros((n, n))
+    t[:h, :h], t[h:, h:] = t1, t2
+    t[:h, h:] = -t1 @ (y1.T @ b2) @ t2
+    return t
+
+
 def fit_pca(ds: LabeledDataset, spec: ReductionSpec) -> PCAModel:
     """Fit a PCA basis sized by spec (fixed dimension or contribution rate).
 
@@ -81,9 +135,11 @@ def fit_pca(ds: LabeledDataset, spec: ReductionSpec) -> PCAModel:
     # clean failure.
     with np.errstate(over="ignore", invalid="ignore"):
         mean = X.mean(axis=0)
-        r = np.empty((0, dim))
-        for rows in _blocks(n, dim):
-            r = np.linalg.qr(np.vstack([r, X[rows] - mean]), mode="r")
+        blocks = _blocks(n, dim)
+        r = np.linalg.qr(X[next(blocks)] - mean, mode="r")
+        for rows in blocks:
+            block = np.empty(X[rows].shape, order="F")
+            _fold(r, np.subtract(X[rows], mean, out=block))
         if not np.isfinite(r).all():
             raise NumericError(
                 "non-finite PCA variance: feature values too large")

@@ -126,14 +126,30 @@ def pair_rng(seed: int, source: int, target: int) -> np.random.Generator:
 
 
 def _chebyshev(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Chebyshev distances between coordinate-major rows q and t, whose
-    shapes broadcast past the first (coordinate) axis: a running max over
-    coordinates, with no temporary holding every coordinate; max and abs
-    are exact."""
-    dist = np.abs(q[0] - t[0])
+    """Chebyshev distances between the columns of coordinate-major q
+    (d, ..., m) and t (d, ..., e): an (..., m, e) running max over
+    coordinates, with no temporary of d * m * e entries.
+
+    Each coordinate's differences are one batched matmul of [q_c, 1]
+    (m, 2) by [1; -t_c] (2, e), built once for all coordinates in
+    2 * d * (m + e) entries. Both products of an entry are exact (a
+    factor is 1), so the entry is q - t rounded once, as a subtract
+    gives it, with or without FMA, on any BLAS and at any thread count;
+    only the sign of a zero difference may differ, and abs removes it.
+    abs and max are exact.
+    """
+    a = np.empty(q.shape + (2,))
+    a[..., 0] = q
+    a[..., 1] = 1.0
+    b = np.empty(t.shape[:-1] + (2,) + t.shape[-1:])
+    b[..., 0, :] = 1.0
+    # Not np.negative(t, out=...): numpy 2.4.6 writes wrong values there
+    # when t is strided and its last axis has length 1.
+    b[..., 1, :] = -t
+    dist = np.abs(np.matmul(a[0], b[0]))
     step = np.empty_like(dist)
     for c in range(1, len(q)):
-        np.abs(np.subtract(q[c], t[c], out=step), out=step)
+        np.abs(np.matmul(a[c], b[c], out=step), out=step)
         np.maximum(dist, step, out=dist)
     return dist
 
@@ -188,11 +204,8 @@ def _batch_density(queries: np.ndarray, targets: np.ndarray, k: int,
     """
     m, dim = queries.shape[-2:]
     n_targets = targets.shape[-2]
-    # These coordinate-major copies beat strided views, and a (d, N)
-    # gather was no faster.
-    q = np.ascontiguousarray(np.moveaxis(queries, -1, 0))[..., None]
-    t = np.ascontiguousarray(np.moveaxis(targets, -1, 0))[..., None, :]
-    rows = _chebyshev(q, t).reshape(-1, n_targets)
+    rows = _chebyshev(np.moveaxis(queries, -1, 0),
+                      np.moveaxis(targets, -1, 0)).reshape(-1, n_targets)
     usable = (_leave_one_out(rows) if exclude_self
               else np.full(rows.shape[0], n_targets))
     short = (usable < k).reshape(-1, m).any(axis=1)
@@ -585,7 +598,7 @@ def _whole_class_means(emb: LabeledDataset, params: HyperParams,
         for c0 in range(g0, g1, band):
             c1 = min(c0 + band, g1)
             a, src = c1 - c0, whole[c0:c1]
-            q = feats[:, starts[c0]:ends[c1 - 1], None]
+            q = feats[:, starts[c0]:ends[c1 - 1]]
             order = _query_orders(seed, np.repeat(src, whole.size - c0),
                                   np.tile(whole[c0:], a), s
                                   ).reshape(a, whole.size - c0, s)

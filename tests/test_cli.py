@@ -692,15 +692,17 @@ def test_csv_error_names_physical_line(tmp_path, capsys, text, line, message):
 
 
 def test_complexity_loads_no_scipy_or_network_modules(tmp_path):
-    # `complexity` needs numpy and the standard library only: scipy is
-    # imported by the descriptor and benchmark code that calls it, and
-    # xml.sax.saxutils would pull in urllib.request, http and ssl.
+    # `complexity` needs numpy and the standard library only, with or
+    # without PCA: scipy is imported by the descriptor and benchmark code
+    # that calls it, and xml.sax.saxutils would pull in urllib.request,
+    # http and ssl.
     blobs = Path(__file__).parent / "golden" / "inputs" / "blobs.csv"
     code = (
         "import sys\n"
         "from spectral_complexity import cli\n"
-        f"code = cli.main(['complexity', '--input', {str(blobs)!r}, "
-        f"'--out', {str(tmp_path / 'report.json')!r}])\n"
+        f"argv = ['complexity', '--input', {str(blobs)!r}, "
+        f"'--out', {str(tmp_path / 'report.json')!r}]\n"
+        "code = cli.main(argv) or cli.main(argv + ['--reduce', 'pca:3'])\n"
         "banned = ('scipy', 'xml.sax', 'urllib.request', 'http.client', "
         "'ssl', 'numpy.ma')\n"
         "print(code, sorted(m for m in sys.modules\n"

@@ -269,3 +269,40 @@ def test_reduction_memory_stays_below_half_the_input():
     finally:
         tracemalloc.stop()
     assert peak < X.nbytes / 2
+
+
+def degenerate_blocks(scale):
+    """Three full blocks of 32 columns and a part block: 30 graded
+    columns, a constant one and a copy of the first, times scale."""
+    n = 3 * (_BLOCK // 32) + 100
+    X = graded(np.random.default_rng(35), n, 30)
+    return np.column_stack([X, np.full(n, 7.0), X[:, 0]]) * scale
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_folded_blocks_match_full_svd_with_degenerate_columns(scale):
+    # Each further block is folded into the first block's R. The constant
+    # and the copied column leave two zero singular values, whose
+    # reflectors see an x of (rounded) zeros. At 1e-150 every reflector's
+    # squared norm underflows, and at 1e150 it overflows, so each one
+    # takes the rescaled norm.
+    X = degenerate_blocks(scale)
+    ds = LabeledDataset(features=X, labels=np.arange(len(X)) % 2)
+    model = fit_pca(ds, ReductionSpec(mode="fixed", n_components=30))
+    mean, components, ratios = _full_svd_fit(X, 30)
+    assert np.array_equal(model.mean, mean)
+    assert np.allclose(model.components, components, rtol=0.0, atol=1e-12)
+    assert np.allclose(model.explained_variance_ratio, ratios, rtol=1e-12,
+                       atol=0.0)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e-300, "zero total variance: all samples are identical"),
+    (1e200, "non-finite PCA variance: feature values too large"),
+])
+def test_folded_blocks_refuse_out_of_range_scales(scale, message):
+    X = degenerate_blocks(scale)
+    ds = LabeledDataset(features=X, labels=np.arange(len(X)) % 2)
+    with pytest.raises(NumericError) as err:
+        fit_pca(ds, ReductionSpec(mode="fixed", n_components=30))
+    assert str(err.value) == message

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +14,7 @@ from spectral_complexity import (ClassSimilarityMatrix, DataError, HyperParams,
                                  build_laplacian, build_similarity_matrix,
                                  class_pair_expectation, cmsauls, knn_density,
                                  pair_rng, spectrum)
-from spectral_complexity.similarity import _batch_density
+from spectral_complexity.similarity import _batch_density, _chebyshev
 
 from conftest import embed, make_blobs
 
@@ -467,6 +472,73 @@ def test_stacked_batch_equals_per_block_calls(dim, exclude):
     assert density.shape == (5, 7)
     assert np.array_equal(density, np.stack([d for d, _ in blocks]))
     assert degenerate == sum(n for _, n in blocks) > 0
+
+
+def _subtract_chebyshev(q, t):
+    """_chebyshev as a running max of broadcast subtracts: the reference
+    for its matmul differences."""
+    dist = np.abs(q[0][..., :, None] - t[0][..., None, :])
+    for c in range(1, len(q)):
+        step = np.abs(q[c][..., :, None] - t[c][..., None, :])
+        dist = np.maximum(dist, step)
+    return dist
+
+
+def test_chebyshev_equals_subtract_reference():
+    # Both call shapes: the lane path's strided (d, P, m) and (d, P, e)
+    # views and the tile path's (d, rows) and (d, W) slices. m or e is
+    # often 1; scales run from 1e-300 to 1e300; some cases are rounded
+    # grids, full of ties and exact zeros, some share rows between the
+    # sides (the exact zeros that leave-one-out reads), and some mix
+    # zeros of both signs into the coordinates.
+    rng = np.random.default_rng(35)
+    signed_zeros = np.array([0.0, -0.0])
+    for trial in range(300):
+        d = int(rng.integers(1, 11))
+        m, e = (int(v) for v in rng.integers(1, 9, size=2))
+        m, e = (1 if trial % 7 == 0 else m), (1 if trial % 7 == 1 else e)
+        scale = 10.0 ** int(rng.integers(-300, 301))
+        lanes = int(rng.integers(1, 5)) if trial % 2 else 0
+        rows = rng.standard_normal((max(lanes, 1), m + e, d))
+        kind = trial % 4
+        if kind == 1:
+            rows = np.round(rows * 2.0) / 2.0
+        elif kind == 2:
+            rows[:, :min(m, e)] = rows[:, m:m + min(m, e)]
+        elif kind == 3:
+            mask = rng.random(rows.shape) < 0.5
+            rows[mask] = rng.choice(signed_zeros, int(mask.sum()))
+        rows *= scale
+        if lanes:
+            q = np.moveaxis(rows[:, :m], -1, 0)
+            t = np.moveaxis(rows[:, m:], -1, 0)
+        else:
+            feats = np.ascontiguousarray(rows[0].T)
+            q, t = feats[:, :m], feats[:, m:]
+        got, want = _chebyshev(q, t), _subtract_chebyshev(q, t)
+        assert got.shape == want.shape == q.shape[1:] + (e,), trial
+        assert np.array_equal(got, want), trial
+        assert not np.signbit(got).any(), trial
+
+
+def test_stage_does_not_depend_on_blas_threads():
+    # sampler.csv at M = E = 12: its 12-row classes share distance tiles
+    # and its 20-row classes are scored on the lane path. X must hold the
+    # same bytes whatever the BLAS thread count.
+    sampler = Path(__file__).parent / "golden" / "inputs" / "sampler.csv"
+    code = (
+        "from spectral_complexity import (HyperParams, "
+        "build_similarity_matrix, load_csv)\n"
+        f"ds = load_csv({str(sampler)!r})\n"
+        "X = build_similarity_matrix(ds, HyperParams(M=12, E=12)).values\n"
+        "print(X.tobytes().hex())\n"
+    )
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": threads}
+                          ).stdout
+           for threads in ("1", "2")]
+    assert out[0] == out[1] != ""
 
 
 # The per-pair stage that build_similarity_matrix batched: one (m, e, d)
