@@ -164,10 +164,24 @@ def pearson(x, y) -> CorrelationResult:
     return CorrelationResult(r=r, p_value=p, sample_count=m)
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of the raveled values, a tie group sharing its mean
+    rank: scipy.stats.rankdata's default. Any NaN makes every rank NaN."""
+    x = np.asarray(values).ravel()
+    order = np.argsort(x, kind="stable")
+    ranked = x[order]
+    if (ranked != ranked).any():
+        return np.full(x.size, np.nan)
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def rank_correlation(x, y) -> float:
-    """Spearman rho: Pearson correlation of the rank transforms."""
-    from scipy.stats import rankdata
-    return pearson(rankdata(x), rankdata(y)).r
+    """Spearman rho: Pearson correlation of the average-rank transforms."""
+    return pearson(_average_ranks(x), _average_ranks(y)).r
 
 
 def classical_mds(U: np.ndarray) -> InterClassMap:
@@ -258,9 +272,10 @@ def bayes_error_oracle(means, covariances, priors, trials: int,
     Draws `trials` labeled samples from the mixture and classifies each
     by the true prior-weighted densities: the lowest class index wins a
     tie, and a NaN log density wins outright, as in np.argmax. Returns
-    (error rate, standard error). numpy only: the samples are held
-    coordinate-major, (dim, trials), and each class's triangular solve,
-    squared norm and running argmax work on contiguous rows of them.
+    (error rate, standard error). numpy only, one source class at a time:
+    its samples are drawn, in class order, and held coordinate-major,
+    (dim, count), and each target class's triangular solve, squared norm
+    and running argmax work on contiguous rows of them.
     """
     mu = np.atleast_2d(np.asarray(means, dtype=np.float64))
     n, dim = mu.shape
@@ -282,41 +297,40 @@ def bayes_error_oracle(means, covariances, priors, trials: int,
             raise NumericError(f"covariance of class {c} is singular") from None
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(trials, pri)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    XT = np.empty((dim, trials))
-    for c in range(n):
-        XT[:, bounds[c]:bounds[c + 1]] = (
-            mu[c] + rng.standard_normal((counts[c], dim)) @ chol[c].T).T
-    truth = np.repeat(np.arange(n), counts)
     with np.errstate(divide="ignore"):
         log_priors = np.log(pri)
-    z = np.empty_like(XT)
-    best = np.full(trials, -np.inf)
-    predicted = np.zeros(trials, dtype=np.intp)
-    for c in range(n):
-        L = chol[c]
-        # Forward substitution, L z = x - mu[c], one coordinate row at a
-        # time; a zero of L adds nothing. A distance past the float64 range
-        # is an exact -inf log density, and a NaN from inf - inf goes to
-        # the argmax without a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(dim):
-                np.subtract(XT[i], mu[c, i], out=z[i])
-                for k in np.flatnonzero(L[i, :i]):
-                    z[i] -= L[i, k] * z[k]
-                if L[i, i] != 1.0:
-                    z[i] /= L[i, i]
-            # In place, and bit for bit z.sum(axis=0): a running sum of rows.
-            mahalanobis = np.square(z, out=z)[0]
-            for row in z[1:]:
-                mahalanobis += row
-        log_det = float(np.log(np.diag(L)).sum())
-        mahalanobis *= 0.5
-        score = np.subtract(log_priors[c], mahalanobis, out=mahalanobis)
-        score -= log_det
-        score -= 0.5 * dim * np.log(2.0 * np.pi)
-        _keep_max(best, predicted, score, c)
-    error = float(np.mean(predicted != truth))
+    log_dets = [float(np.log(np.diag(L)).sum()) for L in chol]
+    wrong = 0
+    for s in range(n):
+        XT = np.ascontiguousarray(
+            (mu[s] + rng.standard_normal((counts[s], dim)) @ chol[s].T).T)
+        z = np.empty_like(XT)
+        best = np.full(counts[s], -np.inf)
+        predicted = np.zeros(counts[s], dtype=np.intp)
+        for c in range(n):
+            L = chol[c]
+            # Forward substitution, L z = x - mu[c], one coordinate row at a
+            # time; a zero of L adds nothing. A distance past the float64
+            # range is an exact -inf log density, and a NaN from inf - inf
+            # goes to the argmax without a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(dim):
+                    np.subtract(XT[i], mu[c, i], out=z[i])
+                    for k in np.flatnonzero(L[i, :i]):
+                        z[i] -= L[i, k] * z[k]
+                    if L[i, i] != 1.0:
+                        z[i] /= L[i, i]
+                # Bit for bit z.sum(axis=0), in place: a running sum of rows.
+                mahalanobis = np.square(z, out=z)[0]
+                for row in z[1:]:
+                    mahalanobis += row
+            mahalanobis *= 0.5
+            score = np.subtract(log_priors[c], mahalanobis, out=mahalanobis)
+            score -= log_dets[c]
+            score -= 0.5 * dim * np.log(2.0 * np.pi)
+            _keep_max(best, predicted, score, c)
+        wrong += int(np.count_nonzero(predicted != s))
+    error = wrong / trials
     stderr = float(np.sqrt(error * (1.0 - error) / trials))
     return error, stderr
 

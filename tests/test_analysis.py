@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from spectral_complexity import (CorrelationResult, DataError, HyperParams,
                                  compute_scores, gen_gaussian_suite, pearson,
                                  rank_correlation, run_benchmark,
                                  run_pipeline, spectrum)
-from spectral_complexity.analysis import _simplex_vertices
+from spectral_complexity.analysis import _average_ranks, _simplex_vertices
 
 from conftest import make_blobs
 
@@ -102,6 +104,37 @@ class TestRankCorrelation:
         y = [2.0, 1.0, 4.0, 3.0, 6.0, 5.0]
         want = scipy.stats.spearmanr(x, y).statistic
         assert rank_correlation(x, y) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ranks_equal_rankdata(self, seed):
+        # Ties, signed zeros, infinities, 2-D and integer input, and NaN,
+        # which makes every rank NaN.
+        rng = np.random.default_rng(seed)
+        pool = np.array([-np.inf, -2.0, -0.0, 0.0, 1.5, 3.0, np.inf])
+        for n in range(25):
+            x = rng.choice(pool, n) if n % 2 else rng.normal(size=n).round(1)
+            for v in (x, x.reshape(1, -1), np.trunc(x[np.isfinite(x)])
+                      .astype(np.int64)):
+                assert np.array_equal(_average_ranks(v),
+                                      scipy.stats.rankdata(v))
+            if n:
+                x[rng.integers(n)] = np.nan
+                assert np.isnan(_average_ranks(x)).all()
+                assert np.isnan(scipy.stats.rankdata(x)).all()
+
+    def test_nan_refused(self):
+        with pytest.raises(NumericError, match="non-finite value"):
+            rank_correlation([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
+
+    def test_loads_no_scipy_stats(self):
+        code = ("import sys\n"
+                "from spectral_complexity import rank_correlation\n"
+                "rank_correlation([1, 2, 2, 4], [3, 1, 2, 5])\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.startswith('scipy.stats')))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestClassicalMds:
@@ -503,6 +536,22 @@ def test_oracle_far_apart_correlated_classes_raise_no_warning():
         warnings.simplefilter("error")
         got = _oracles_agree([[0.0, 0.0], [1e200, -1e200]], covs, [0.3, 0.7])
     assert got == (0.0, 0.0)
+
+
+def test_oracle_working_set_is_one_source_class():
+    # The default benchmark shape: 10 classes, d=3, 100 000 trials. One
+    # source class at a time holds its 10 000 samples, their solve and
+    # their running argmax: about 1.1 MiB.
+    import tracemalloc
+    means = _simplex_vertices(10, 3)
+    covs = np.broadcast_to(np.eye(3), (10, 3, 3))
+    tracemalloc.start()
+    try:
+        bayes_error_oracle(means, covs, np.full(10, 0.1), 100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_running_argmax_matches_numpy():

@@ -308,7 +308,7 @@ def test_mst_memory_is_linear():
     finally:
         tracemalloc.stop()
     # The working copy, per-point state and edge list: about 0.7 MB at
-    # this size, against 8 MiB for one cdist block of the n2/n3 pass.
+    # this size, against 1 MiB for one cdist tile of the n2/n3 pass.
     assert peak < 384 * n
 
 
@@ -379,6 +379,48 @@ def test_neighbours_match_full_matrix_reference(kind, block, monkeypatch):
         assert n2(emb) == reference_n2(emb)
         assert n3(emb) == float(np.mean(
             emb.labels[reference_nearest(emb)] != emb.labels))
+
+
+# Point 0's nearest distance, 1, is tied by point 1 of class 2 and point 2
+# of class 1: the lower index belongs to the class that sorts later.
+TWO_OTHER_CLASSES_TIE = ([0.0, 1.0, -1.0, 10.0, 20.0, 30.0],
+                         [0, 2, 1, 1, 2, 0])
+# Point 1's same-class neighbour, point 2, ties with point 0 of class 1,
+# whose index is lower.
+SAME_AND_OTHER_CLASS_TIE = ([1.0, 0.0, -1.0, 9.0], [1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 17])
+@pytest.mark.parametrize("points, labels, point, want", [
+    pytest.param(*TWO_OTHER_CLASSES_TIE, 0, 1, id="two-other-classes"),
+    pytest.param(*SAME_AND_OTHER_CLASS_TIE, 1, 0, id="same-and-other-class"),
+])
+def test_cross_class_ties_take_the_lowest_index(points, labels, point, want,
+                                                block, monkeypatch):
+    monkeypatch.setattr(descriptors, "_BLOCK", block)
+    emb = embed_1d(points, labels)
+    nearest = _neighbours(emb)[2]
+    assert nearest[point] == want
+    assert np.array_equal(nearest, reference_nearest(emb))
+    assert n3(emb) == float(np.mean(
+        emb.labels[reference_nearest(emb)] != emb.labels))
+    assert n2(emb) == reference_n2(emb)
+
+
+def test_neighbour_pass_working_set():
+    # The class-sorted copy, one 1 MiB distance tile and the per-point
+    # outputs: about 2.2 MiB at this size.
+    n = 4000
+    rng = np.random.default_rng(0)
+    emb = embed_2d(rng.standard_normal((n, 3)), np.arange(n) % 2)
+    _neighbours(emb)  # untraced, so that SciPy's import is not counted
+    tracemalloc.start()
+    try:
+        _neighbours(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("measure", [n2, n3])
